@@ -94,13 +94,102 @@ def _read_mask(path: str) -> LabelMask:
     return mask
 
 
+# ASCII digits of 0..999: row j holds digit j of every zero-padded triple
+_TRIPLES = (np.arange(1000) // np.array([[100], [10], [1]]) % 10 + ord("0")).astype(np.uint8)
+# CSV entries formatted per chunk; bounds the writer's peak at O(chunk)
+_CSV_CHUNK_ENTRIES = 1 << 18
+# 10**k is exact in float64 up to k = 22, so w * 10**(8 - X) is rounded once
+_POW10 = 10.0 ** np.arange(23)
+_ZERO, _DOT = ord("0"), ord(".")
+
+# The CSV is built as character matrices with one column per line and one
+# row per character position; NUL marks a character that is dropped.
+
+
+def _digits(values: np.ndarray, width: int) -> list[np.ndarray]:
+    """ASCII digit rows, most significant first, of ints in [0, 1000**ceil(width / 3))."""
+    rows = []
+    for g in range(-(-width // 3) - 1, -1, -1):
+        triple = values // 1000**g % 1000
+        rows += [row[triple] for row in _TRIPLES]
+    return rows
+
+
+def _int_chars(values: np.ndarray, width: int) -> np.ndarray:
+    """Character matrix of ints in [0, 10**width), leading zeros as NUL."""
+    rows = _digits(values, width)
+    lead = np.ones(values.shape, dtype=bool)
+    for row in rows[:-1]:  # zero itself prints one digit
+        lead &= row == _ZERO
+        row *= ~lead
+    return np.stack(rows)
+
+
+def _weight_chars(w: np.ndarray) -> np.ndarray:
+    """Character matrix of ``f"{float(w):.9g}"`` for float32 weights.
+
+    Weights in [1e-14, 1) are rounded to 9 significant digits from the float64
+    product w * 10**(8 - X), with X = floor(log10 w).  The product carries
+    one rounding error of at most 2**-53 relative, far inside the 1e-6 guard
+    around halfway cases.  Zero, values outside that range and near-halfway
+    rows go through Python's own formatter, so every row matches it byte for
+    byte.
+    """
+    w64 = w.astype(np.float64)
+    plain = (w64 >= 1e-14) & (w64 < 1.0)
+    exp = np.floor(np.log10(np.where(plain, w64, 1e-8))).astype(np.int64)
+    scaled = w64 * _POW10[np.clip(8 - exp, 0, 22)]
+    mant = np.rint(scaled)
+    # a mantissa outside [1e8, 1e9) means log10 or the rounding crossed a
+    # power of ten; such rows and near-halfway rows fall back
+    plain &= (mant >= 1e8) & (mant < 1e9) & (np.abs(scaled - np.floor(scaled) - 0.5) > 1e-6)
+    d = _digits(np.where(plain, mant, 1e8).astype(np.int32), 9)
+    trailing = np.ones(w.shape, dtype=bool)
+    for row in d[:0:-1]:  # %g strips trailing zeros; the first digit is never 0
+        trailing &= row == _ZERO
+        row *= ~trailing
+
+    # fixed, 1e-4 <= w < 1: "0." then -X-1 zeros then the digits;
+    # scientific, w < 1e-4: "d.dddddddde-XX", or "de-XX" for d.00000000
+    sci = exp < -4
+    fixed = [np.uint8(_ZERO), np.uint8(_DOT)]
+    fixed += [np.where(exp + 4 <= j, _ZERO, 0).astype(np.uint8) for j in range(3)] + d
+    scientific = d[:1] + [np.where(trailing, 0, _DOT).astype(np.uint8)] + d[1:]
+    scientific += [np.uint8(ord("e")), np.uint8(ord("-")), _TRIPLES[1][-exp], _TRIPLES[2][-exp]]
+    out = np.stack([np.where(sci, s, f) for s, f in zip(scientific, fixed)])
+
+    fallback = np.flatnonzero(~plain)
+    if fallback.size:
+        text = [f"{float(v):.9g}".encode() for v in w[fallback]]
+        width = max(14, *map(len, text))
+        if width > 14:
+            out = np.pad(out, ((0, width - 14), (0, 0)))
+        padded = b"".join(t.ljust(width, b"\0") for t in text)
+        out[:, fallback] = np.frombuffer(padded, np.uint8).reshape(-1, width).T
+    return out
+
+
 def _write_correspondence_csv(path: str, corr: SparseCorrespondence) -> None:
-    with open(path, "w") as fh:
-        fh.write("query_index,exemplar_index,weight\n")
-        for q in range(corr.sites):
-            row = corr.weights[q]
-            for e, wgt in zip(corr.row_indices(q), row):
-                fh.write(f"{q},{int(e)},{float(wgt):.9g}\n")
+    """Write the ``q,e,w`` lines of a ranked correspondence, w as ``%.9g`` of the float32 weight.
+
+    Each chunk of whole query rows becomes one character matrix, which is
+    compacted and written in one call.
+    """
+    sites, m = corr.weights.shape
+    q_width = len(str(sites - 1))
+    e_width = len(str(corr.exemplar_sites - 1))
+    rows_per_chunk = max(1, _CSV_CHUNK_ENTRIES // m)
+    with open(path, "wb") as fh:
+        fh.write(b"query_index,exemplar_index,weight\n")
+        for r0 in range(0, sites, rows_per_chunk):
+            r1 = min(r0 + rows_per_chunk, sites)
+            q = np.repeat(_int_chars(np.arange(r0, r1), q_width), m, axis=1)
+            e = _int_chars(corr.indices[r0:r1].reshape(-1), e_width)
+            w = _weight_chars(corr.weights[r0:r1].reshape(-1))
+            sep = np.full((1, q.shape[1]), ord(","), dtype=np.uint8)
+            end = np.full_like(sep, ord("\n"))
+            line = np.concatenate([q, sep, e, sep, w, end]).T.copy()
+            fh.write(line[line != 0].tobytes())
 
 
 def cmd_warp(args) -> int:

@@ -333,15 +333,22 @@ def warp(correspondence: SparseCorrespondence, exemplar: FeatureGrid) -> Feature
         )
     z = exemplar.vectors.astype(np.float64)
     l_q = correspondence.sites
-    out = np.empty((l_q, exemplar.channels))
     w = correspondence.weights
-    chunk = max(1, (_CHUNK * _CHUNK * 16) // max(w.shape[1], 1))
-    for c0 in range(0, l_q, chunk):
-        c1 = min(c0 + chunk, l_q)
-        wc = w[c0:c1].astype(np.float64)
-        if correspondence.indices is None:
-            out[c0:c1] = wc @ z
-        else:
-            out[c0:c1] = (z[correspondence.indices[c0:c1]] * wc[:, :, None]).sum(axis=1)
+    idx = correspondence.indices
+    if idx is None:
+        out = np.empty((l_q, exemplar.channels))
+        chunk = max(1, (_CHUNK * _CHUNK * 16) // max(w.shape[1], 1))
+        for c0 in range(0, l_q, chunk):
+            c1 = min(c0 + chunk, l_q)
+            out[c0:c1] = w[c0:c1].astype(np.float64) @ z
+    elif exemplar.channels == 1:
+        # one channel: a plain row reduction, summed pairwise by numpy
+        out = (z[idx, 0] * w.astype(np.float64)).sum(axis=1)
+    else:
+        # one column of links at a time, in the order a (L, m, d) sum over
+        # axis 1 adds them, without materializing the (L, m, d) gather
+        out = z[idx[:, 0]] * w[:, :1].astype(np.float64)
+        for j in range(1, w.shape[1]):
+            out += z[idx[:, j]] * w[:, j : j + 1].astype(np.float64)
     shape = (correspondence.height, correspondence.width, exemplar.channels)
     return FeatureGrid(out.reshape(shape).astype(np.float32))

@@ -93,23 +93,24 @@ def cycle_loss(correspondence: SparseCorrespondence, exemplar: FeatureGrid) -> f
 
 
 def _traced(builder, repetitions: int) -> tuple[object, int, float]:
-    """Run ``builder`` under the tracing allocator; returns (result, peak, median ms)."""
+    """Time ``builder`` untraced, then trace one more build; returns (result, peak, median ms).
+
+    The tracing allocator slows allocation-heavy builds by a varying amount,
+    so it runs only for the build that measures the peak.  With no
+    repetitions only the traced build runs and the median is NaN.
+    """
     times = []
-    peak = 0
-    result = None
+    for _ in range(repetitions):
+        t0 = time.perf_counter()
+        builder()
+        times.append((time.perf_counter() - t0) * 1000.0)
     tracemalloc.start()
     try:
-        for rep in range(repetitions):
-            result = None  # drop the previous build before re-measuring
-            tracemalloc.reset_peak()
-            t0 = time.perf_counter()
-            result = builder()
-            times.append((time.perf_counter() - t0) * 1000.0)
-            if rep == 0:
-                _, peak = tracemalloc.get_traced_memory()
+        result = builder()
+        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return result, peak, float(np.median(times))
+    return result, peak, float(np.median(times)) if times else math.nan
 
 
 def run_bench(
@@ -127,7 +128,9 @@ def run_bench(
     Feature grids are seeded uniform random in [-1, 1], so every run sees the
     same inputs.  A dense-baseline allocation failure is recorded as a zeroed
     row rather than aborting the sweep.  ``workers`` > 1 ranks query blocks
-    in parallel; entry counts are identical in both modes.
+    in parallel; entry counts are identical in both modes.  ``repetitions``
+    = 0 skips the timed builds and leaves ``ms`` NaN; peaks and counts are
+    unchanged.
     """
     side = math.isqrt(block_area)
     if side * side != block_area:

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import rankwarp
-from rankwarp.cli import main
+from rankwarp.cli import _write_correspondence_csv, main
+from rankwarp.correspondence import SparseCorrespondence
 from rankwarp.posenc import vanilla_pe
 from rankwarp.tensors import FeatureGrid, LabelMask, read_tensor, write_tensor
 
@@ -129,6 +130,67 @@ class TestWarpCommand:
         assert main(["warp", cond, exem, "--out-dir", str(parallel), "--parallel"]) == 0
         for f in ("warped.ftn", "cmap.ftn", "correspondence.csv"):
             assert (serial / f).read_bytes() == (parallel / f).read_bytes()
+
+
+def _legacy_csv(corr):
+    """The per-entry formatter the bulk writer replaced, kept as its oracle."""
+    lines = ["query_index,exemplar_index,weight\n"]
+    for q in range(corr.sites):
+        for e, wgt in zip(corr.row_indices(q), corr.weights[q]):
+            lines.append(f"{q},{int(e)},{float(wgt):.9g}\n")
+    return "".join(lines).encode()
+
+
+def _crafted_weights():
+    f32 = np.float32
+    edges = [f32(1e-4), f32(1e-14), f32(1.0), f32(1e-5), f32(0.1), f32(1e-13)]
+    near = [np.nextafter(v, f32(0)) for v in edges] + [np.nextafter(v, f32(1)) for v in edges]
+    tiny = np.finfo(np.float32).tiny
+    special = [
+        0.0, -0.0, 1.0, 0.5, 0.25, 1e-45, 1e-40, tiny, np.nextafter(tiny, f32(0)),
+        9.99999975e-05, 9.9999997e-15, 0.99999994, 1.0000001, 3.4028235e38, -2.5e-7,
+        -3.4028235e38, 0.123456789, 1.5e-9, 2e-10, 7e-12,
+    ]
+    # every float32 in [1e-14, 1) whose float64 product w * 10**(8 - X) rounds
+    # onto a halfway point, where rounding that product picks the wrong digit
+    halfway = [
+        6.205944775e-14, 9.407980715e-14, 1.241188955e-13, 9.171420845e-10,
+        2.389027145e-07, 2.928801905e-06, 4.500175055e-05, 9.310196765e-05,
+    ]
+    return np.array(edges + near + special + halfway, dtype=np.float32)
+
+
+class TestCorrespondenceCsv:
+    @staticmethod
+    def _assert_matches_oracle(tmp_path, weights, exemplar_sites, rng, width):
+        rows = weights.size // width
+        weights = weights[: rows * width].reshape(rows, width)
+        indices = rng.integers(0, exemplar_sites, weights.shape).astype(np.int32)
+        indices[0, 0], indices[-1, -1] = 0, exemplar_sites - 1
+        corr = SparseCorrespondence(1, rows, exemplar_sites, weights, indices)
+        path = tmp_path / "corr.csv"
+        _write_correspondence_csv(str(path), corr)
+        assert path.read_bytes() == _legacy_csv(corr)
+
+    def test_crafted_weights(self, tmp_path):
+        rng = np.random.default_rng(180)
+        weights = _crafted_weights()
+        self._assert_matches_oracle(tmp_path, weights, 7, rng, width=weights.size)
+        self._assert_matches_oracle(tmp_path, weights, 100003, rng, width=1)
+
+    def test_log_uniform_weights_with_five_digit_sites(self, tmp_path):
+        # 10**6 weights over 20000 query sites and 123457 exemplar sites: the
+        # writer works in several chunks and both index columns reach 5-6 digits
+        rng = np.random.default_rng(181)
+        weights = (10.0 ** rng.uniform(-16, 0, 10**6)).astype(np.float32)
+        self._assert_matches_oracle(tmp_path, weights, 123457, rng, width=50)
+
+    def test_random_float32_bit_patterns(self, tmp_path):
+        rng = np.random.default_rng(182)
+        bits = rng.integers(0, 0x7F800000, 2 * 10**5, dtype=np.uint32)
+        # half the patterns anywhere in the finite range, half below 1
+        bits[::2] %= 0x3F800000
+        self._assert_matches_oracle(tmp_path, bits.view(np.float32), 10**4, rng, width=12)
 
 
 class TestTopkCommand:

@@ -336,6 +336,29 @@ class TestWarp:
         rhs = warp(corr, z1).data + warp(corr, z2).data
         assert np.abs(lhs - rhs).max() < 1e-5
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 32])
+    @pytest.mark.parametrize("m", [1, 4, 12, 192])
+    def test_sparse_matches_gather_formula(self, d, m):
+        # the (L, m, d) gather-and-sum that the column loop replaced
+        rng = np.random.default_rng(76)
+        data = rng.standard_normal((6, 9, d)).astype(np.float32)
+        weights = rng.random((40, m)).astype(np.float32)
+        weights /= weights.sum(axis=1, keepdims=True)
+        indices = rng.integers(0, 54, (40, m)).astype(np.int32)
+        if m >= 16:
+            # row 0 sums to a float32 tie when added in order, and to just
+            # above it when added pairwise, as numpy sums a d == 1 gather
+            data[0, :2] = [[1 + 2.0**-12], [2.0**-40]]
+            weights[0], indices[0] = 0.0, 2
+            weights[0, 0], indices[0, 0] = 1 + 2.0**-12, 0
+            weights[0, [1, 9]], indices[0, [1, 9]] = 2.0**-13, 1
+        exemplar = FeatureGrid(data)
+        corr = SparseCorrespondence(5, 8, 54, weights, indices)
+        z = exemplar.vectors.astype(np.float64)
+        gathered = (z[indices] * weights.astype(np.float64)[:, :, None]).sum(axis=1)
+        expected = gathered.reshape(5, 8, d).astype(np.float32)
+        assert warp(corr, exemplar).data.tobytes() == expected.tobytes()
+
     def test_site_count_mismatch(self):
         rng = np.random.default_rng(75)
         _, corr = _pipeline(_grid(rng, 4, 4, 2), _grid(rng, 4, 4, 2), 2, 1, tau=0.1)

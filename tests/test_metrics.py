@@ -1,5 +1,8 @@
 """Cycle and consistency losses plus the complexity benchmark."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from rankwarp.correspondence import (
 from rankwarp.metrics import (
     CSV_HEADER,
     BenchRecord,
+    _traced,
     consistency_loss,
     cycle_loss,
     render_csv,
@@ -178,6 +182,26 @@ class TestBench:
         ras = [r for r in records if r.method == "ras"][0]
         assert dense.warp_l1 == 0.0
         assert np.isfinite(ras.warp_l1) and ras.warp_l1 >= 0.0
+
+    def test_timed_builds_run_untraced(self):
+        tracing = []
+
+        def builder():
+            tracing.append(tracemalloc.is_tracing())
+            return np.ones(1 << 20)
+
+        result, peak, ms = _traced(builder, 3)
+        # three timed builds untraced, then exactly one traced build for the peak
+        assert tracing == [False, False, False, True]
+        assert peak >= 8 << 20
+        assert result.shape == (1 << 20,) and ms >= 0.0
+        assert not tracemalloc.is_tracing()
+
+        # no repetitions: the traced build alone, and no time to report
+        tracing.clear()
+        result, peak, ms = _traced(builder, 0)
+        assert tracing == [True]
+        assert peak >= 8 << 20 and math.isnan(ms)
 
     def test_non_square_block_area_rejected(self):
         with pytest.raises(ValidationError):
