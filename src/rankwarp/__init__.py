@@ -14,8 +14,6 @@ from .correspondence import (
     BlockRanking,
     SparseCorrespondence,
     block_attention,
-    dense_correspondence_baseline,
-    entry_count,
     partition_blocks,
     rank_blocks,
     warp,
@@ -27,7 +25,15 @@ from .fusion import (
     fuse,
     fuse_multichannel,
 )
-from .metrics import BenchRecord, consistency_loss, cycle_loss, render_csv, run_bench
+from .metrics import (
+    BenchRecord,
+    consistency_loss,
+    cycle_loss,
+    dense_correspondence_baseline,
+    dense_warp,
+    render_csv,
+    run_bench,
+)
 from .posenc import PositionChannels, append_position, semantic_pe, vanilla_pe
 from .tensors import (
     FeatureGrid,

@@ -12,6 +12,7 @@ error (including malformed tensor files), 5 check failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -75,8 +76,8 @@ def _positive_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text}")
     return value
 
 
@@ -308,7 +309,10 @@ def _parse_sizes(text: str) -> list[tuple[int, int, int]]:
         parts = item.lower().split("x")
         if len(parts) != 3:
             raise argparse.ArgumentTypeError(f"bad size {item!r}, expected HxWxD")
-        sizes.append(tuple(int(p) for p in parts))
+        size = tuple(int(p) for p in parts)
+        if min(size) < 1:
+            raise argparse.ArgumentTypeError(f"bad size {item!r}, dimensions must be positive")
+        sizes.append(size)
     return sizes
 
 

@@ -21,15 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import FeatureGrid, ValidationError
+from .tensors import FeatureGrid, ValidationError, unit_rows
 from .topk import sinkhorn_gamma_batch
 
-_NORM_EPS = 1e-8
 # chunk of query blocks ranked per solver sweep; bounds peak memory at
 # O(chunk * N) while the full score matrix would be O(N^2)
 _CHUNK = 256
-# full score rows are kept for inspection only on small problems
-_SCORE_DEBUG_LIMIT = 512
 
 
 @dataclass(frozen=True)
@@ -76,11 +73,10 @@ class BlockPartition:
 
 @dataclass(frozen=True)
 class BlockFeatures:
-    """Concatenated per-block feature vectors plus their unit-norm copies."""
+    """Unit-norm concatenated per-block feature vectors."""
 
     partition: BlockPartition
-    vectors: np.ndarray  # (N, b*d) float32, raster concatenation
-    normalized: np.ndarray  # (N, b*d) float64, unit rows (epsilon-guarded)
+    normalized: np.ndarray  # (N, b*d) float64, unit rows of the raster concatenation
 
 
 def partition_blocks(grid: FeatureGrid, block_side: int) -> tuple[BlockPartition, BlockFeatures]:
@@ -89,10 +85,7 @@ def partition_blocks(grid: FeatureGrid, block_side: int) -> tuple[BlockPartition
     s = block_side
     tiles = grid.data.reshape(part.blocks_h, s, part.blocks_w, s, grid.channels)
     vectors = tiles.transpose(0, 2, 1, 3, 4).reshape(part.block_count, s * s * grid.channels)
-    v64 = vectors.astype(np.float64)
-    return part, BlockFeatures(
-        partition=part, vectors=vectors, normalized=_guarded_unit(v64)
-    )
+    return part, BlockFeatures(partition=part, normalized=unit_rows(vectors.astype(np.float64)))
 
 
 @dataclass(frozen=True)
@@ -101,9 +94,8 @@ class BlockRanking:
 
     ``candidates[i]`` holds the k exemplar block indices with the largest
     gamma for query block i, in ascending index order; ``gammas`` aligns with
-    it.  ``max_scores`` is the peak cosine over all exemplar blocks (kept for
-    the confidence map), and ``scores`` is the full score matrix when the
-    problem is small enough to afford it.
+    it.  ``max_scores`` is the peak cosine over all exemplar blocks, kept for
+    the confidence map.
     """
 
     partition: BlockPartition
@@ -115,17 +107,15 @@ class BlockRanking:
     iterations: np.ndarray  # (N_q,) int
     marginal_errors: np.ndarray  # (N_q,) float64
     scored_pairs: int
-    scores: np.ndarray | None = None  # (N_q, N_e) float32 when kept
 
 
-def _rank_chunk(qn, en, k, lam, iters, tol, keep_scores):
+def _rank_chunk(qn, en, k, lam, iters, tol):
     scores = qn @ en.T
     gamma, used, errs = sinkhorn_gamma_batch(scores, k, lam, iters, tol)
     order = np.argsort(-gamma, axis=1, kind="stable")[:, :k]
     cand = np.sort(order, axis=1).astype(np.int32)
     g = np.take_along_axis(gamma, cand, axis=1)
-    out_scores = scores.astype(np.float32) if keep_scores else None
-    return cand, g, scores.max(axis=1), used, errs, out_scores
+    return cand, g, scores.max(axis=1), used, errs
 
 
 def rank_blocks(
@@ -145,29 +135,25 @@ def rank_blocks(
     ``workers`` > 1 ranks chunks of query blocks in parallel; the output is
     bit-identical at any worker count because chunks are independent.
     """
-    if query.vectors.shape[1] != exemplar.vectors.shape[1]:
+    if query.normalized.shape[1] != exemplar.normalized.shape[1]:
         raise ValidationError(
-            f"block dims differ: {query.vectors.shape[1]} vs {exemplar.vectors.shape[1]}"
+            f"block dims differ: {query.normalized.shape[1]} vs {exemplar.normalized.shape[1]}"
         )
     n_q = query.partition.block_count
     n_e = exemplar.partition.block_count
     if not 1 <= k <= n_e:
         raise ValidationError(f"k={k} out of range for {n_e} exemplar blocks")
-    keep = max(n_q, n_e) <= _SCORE_DEBUG_LIMIT
     cand = np.empty((n_q, k), dtype=np.int32)
     gam = np.empty((n_q, k))
     mx = np.empty(n_q)
     used = np.empty(n_q, dtype=int)
     errs = np.empty(n_q)
-    scores = np.empty((n_q, n_e), dtype=np.float32) if keep else None
     spans = [(c, min(c + _CHUNK, n_q)) for c in range(0, n_q, _CHUNK)]
 
     def run(span):
         c0, c1 = span
-        out = _rank_chunk(query.normalized[c0:c1], exemplar.normalized, k, lam, iters, tol, keep)
-        cand[c0:c1], gam[c0:c1], mx[c0:c1], used[c0:c1], errs[c0:c1] = out[:5]
-        if keep:
-            scores[c0:c1] = out[5]
+        out = _rank_chunk(query.normalized[c0:c1], exemplar.normalized, k, lam, iters, tol)
+        cand[c0:c1], gam[c0:c1], mx[c0:c1], used[c0:c1], errs[c0:c1] = out
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -178,7 +164,7 @@ def rank_blocks(
     return BlockRanking(
         partition=query.partition, exemplar_blocks=n_e, k=k, candidates=cand,
         gammas=gam, max_scores=mx, iterations=used, marginal_errors=errs,
-        scored_pairs=n_q * n_e, scores=scores,
+        scored_pairs=n_q * n_e,
     )
 
 
@@ -188,28 +174,22 @@ class SparseCorrespondence:
 
     ``indices`` is (L_q, m) with m <= k*b entries per query feature, ordered
     by (candidate block index, within-block offset); ``weights`` aligns with
-    it and sums to 1 per row.  ``indices`` may be None for the dense
-    baseline, meaning row q links to every exemplar feature 0..L_e-1 in
-    order.
+    it and sums to 1 per row.
     """
 
     height: int
     width: int
     exemplar_sites: int
     weights: np.ndarray  # (L_q, m) float32
-    indices: np.ndarray | None = None  # (L_q, m) int32, None = dense rows
+    indices: np.ndarray  # (L_q, m) int32
 
     def __post_init__(self) -> None:
         if self.weights.ndim != 2 or self.weights.shape[0] != self.height * self.width:
             raise ValidationError(f"weights shape {self.weights.shape} does not match grid")
-        if self.indices is None:
-            if self.weights.shape[1] != self.exemplar_sites:
-                raise ValidationError("dense rows must span all exemplar sites")
-        else:
-            if self.indices.shape != self.weights.shape:
-                raise ValidationError("indices and weights shapes differ")
-            if self.indices.min() < 0 or self.indices.max() >= self.exemplar_sites:
-                raise ValidationError("correspondence index out of range")
+        if self.indices.shape != self.weights.shape:
+            raise ValidationError("indices and weights shapes differ")
+        if self.indices.min() < 0 or self.indices.max() >= self.exemplar_sites:
+            raise ValidationError("correspondence index out of range")
 
     @property
     def sites(self) -> int:
@@ -217,26 +197,8 @@ class SparseCorrespondence:
 
     @property
     def entry_count(self) -> int:
+        """Stored weight entries, L * k * b for a ranked correspondence."""
         return self.weights.size
-
-    def row_indices(self, q: int) -> np.ndarray:
-        if self.indices is None:
-            return np.arange(self.exemplar_sites)
-        return self.indices[q]
-
-
-def entry_count(correspondence: SparseCorrespondence) -> int:
-    """Stored weight entries: L * k * b for ranked correspondences, L^2 dense."""
-    return correspondence.entry_count
-
-
-def _guarded_unit(v: np.ndarray) -> np.ndarray:
-    norms = np.sqrt((v * v).sum(axis=1, keepdims=True))
-    return np.where(norms > _NORM_EPS, v / np.where(norms > _NORM_EPS, norms, 1.0), 0.0)
-
-
-def _normalized_vectors(grid: FeatureGrid) -> np.ndarray:
-    return _guarded_unit(grid.vectors.astype(np.float64))
 
 
 def block_attention(
@@ -267,8 +229,8 @@ def block_attention(
 
     b = partition.block_area
     k = ranking.k
-    qn = _normalized_vectors(query_grid)
-    en = _normalized_vectors(exemplar_grid)
+    qn = unit_rows(query_grid.vectors.astype(np.float64))
+    en = unit_rows(exemplar_grid.vectors.astype(np.float64))
     q_feat = partition.feature_indices()  # (N_q, b)
     e_feat = e_part.feature_indices()  # (N_e, b)
     n_q = partition.block_count
@@ -298,32 +260,6 @@ def block_attention(
     )
 
 
-def dense_correspondence_baseline(
-    query_grid: FeatureGrid, exemplar_grid: FeatureGrid, tau: float
-) -> SparseCorrespondence:
-    """Full softmax-over-cosine rows; the accuracy and memory reference point."""
-    if tau <= 0:
-        raise ValidationError("tau must be positive")
-    if query_grid.channels != exemplar_grid.channels:
-        raise ValidationError("channel counts differ")
-    qn = _normalized_vectors(query_grid)
-    en = _normalized_vectors(exemplar_grid)
-    l_q, l_e = qn.shape[0], en.shape[0]
-    weights = np.empty((l_q, l_e), dtype=np.float32)
-    chunk = max(1, (_CHUNK * _CHUNK) // max(l_e, 1))
-    for c0 in range(0, l_q, chunk):
-        c1 = min(c0 + chunk, l_q)
-        t = (qn[c0:c1] @ en.T) / tau
-        t -= t.max(axis=1, keepdims=True)
-        w = np.exp(t)
-        w /= w.sum(axis=1, keepdims=True)
-        weights[c0:c1] = w.astype(np.float32)
-    return SparseCorrespondence(
-        height=query_grid.height, width=query_grid.width,
-        exemplar_sites=exemplar_grid.site_count, weights=weights, indices=None,
-    )
-
-
 def warp(correspondence: SparseCorrespondence, exemplar: FeatureGrid) -> FeatureGrid:
     """Re-arrange exemplar features through the correspondence: out_q = sum w_qe * z_e."""
     if exemplar.site_count != correspondence.exemplar_sites:
@@ -332,16 +268,9 @@ def warp(correspondence: SparseCorrespondence, exemplar: FeatureGrid) -> Feature
             f"{correspondence.exemplar_sites}"
         )
     z = exemplar.vectors.astype(np.float64)
-    l_q = correspondence.sites
     w = correspondence.weights
     idx = correspondence.indices
-    if idx is None:
-        out = np.empty((l_q, exemplar.channels))
-        chunk = max(1, (_CHUNK * _CHUNK * 16) // max(w.shape[1], 1))
-        for c0 in range(0, l_q, chunk):
-            c1 = min(c0 + chunk, l_q)
-            out[c0:c1] = w[c0:c1].astype(np.float64) @ z
-    elif exemplar.channels == 1:
+    if exemplar.channels == 1:
         # one channel: a plain row reduction, summed pairwise by numpy
         out = (z[idx, 0] * w.astype(np.float64)).sum(axis=1)
     else:

@@ -76,18 +76,16 @@ def confidence_map(ranking: BlockRanking) -> ConfidenceMap:
     return ConfidenceMap(values.reshape(part.blocks_h, part.blocks_w).astype(np.float32))
 
 
-def _upsample(plane: np.ndarray, height: int, width: int) -> np.ndarray:
-    bh, bw = plane.shape
-    if height % bh or width % bw:
-        raise ValidationError(f"cannot upsample {bh}x{bw} map to {height}x{width}")
-    return np.repeat(np.repeat(plane, height // bh, axis=0), width // bw, axis=1)
-
-
-def fuse(conditional: FeatureGrid, warped: FeatureGrid, cmap: ConfidenceMap) -> FeatureGrid:
-    """Blend per site: conditional * (1 - c) + warped * c, c from the covering block."""
+def _blend(conditional: FeatureGrid, warped: FeatureGrid, planes: np.ndarray) -> FeatureGrid:
+    """Blend per site with a (C or 1, Hb, Wb) stack upsampled by nearest neighbor."""
     if conditional.data.shape != warped.data.shape:
         raise ValidationError("conditional and warped grids must share a shape")
-    c = _upsample(cmap.data.astype(np.float64), conditional.height, conditional.width)[:, :, None]
+    _, bh, bw = planes.shape
+    height, width = conditional.height, conditional.width
+    if height % bh or width % bw:
+        raise ValidationError(f"cannot upsample {bh}x{bw} map to {height}x{width}")
+    c = np.repeat(np.repeat(planes.astype(np.float64), height // bh, axis=1), width // bw, axis=2)
+    c = np.moveaxis(c, 0, 2)  # (H, W, C or 1), broadcast over the channels
     x = conditional.data.astype(np.float64)
     w = warped.data.astype(np.float64)
     # float64 blend, rounded once: keeps every output inside [min, max] of the
@@ -95,21 +93,17 @@ def fuse(conditional: FeatureGrid, warped: FeatureGrid, cmap: ConfidenceMap) -> 
     return FeatureGrid((x * (1.0 - c) + w * c).astype(np.float32))
 
 
+def fuse(conditional: FeatureGrid, warped: FeatureGrid, cmap: ConfidenceMap) -> FeatureGrid:
+    """Blend per site: conditional * (1 - c) + warped * c, c from the covering block."""
+    return _blend(conditional, warped, cmap.data[None])
+
+
 def fuse_multichannel(
     conditional: FeatureGrid, warped: FeatureGrid, mmap: MultiChannelMap
 ) -> FeatureGrid:
     """Per-channel blend; a map with identical planes reduces to :func:`fuse` exactly."""
-    if conditional.data.shape != warped.data.shape:
-        raise ValidationError("conditional and warped grids must share a shape")
     if mmap.channels != conditional.channels:
         raise ValidationError(
             f"map has {mmap.channels} channels, grids have {conditional.channels}"
         )
-    planes = [
-        _upsample(mmap.data[ch].astype(np.float64), conditional.height, conditional.width)
-        for ch in range(mmap.channels)
-    ]
-    c = np.stack(planes, axis=2)
-    x = conditional.data.astype(np.float64)
-    w = warped.data.astype(np.float64)
-    return FeatureGrid((x * (1.0 - c) + w * c).astype(np.float32))
+    return _blend(conditional, warped, mmap.data)

@@ -194,6 +194,17 @@ def read_tensor(path) -> FeatureGrid | LabelMask:
     return LabelMask(data.astype(np.uint32))
 
 
+def unit_rows(v: np.ndarray, epsilon: float = 1e-8) -> np.ndarray:
+    """Scale each vector along the last axis of ``v`` to unit L2 norm.
+
+    Vectors whose norm is at or below ``epsilon`` collapse to zero outright,
+    which keeps the operation idempotent instead of drifting near the guard
+    scale.
+    """
+    norms = np.sqrt((v * v).sum(axis=-1, keepdims=True))
+    return np.where(norms > epsilon, v / np.where(norms > epsilon, norms, 1.0), 0.0)
+
+
 def l2_normalize_features(grid: FeatureGrid, epsilon: float = 1e-8) -> FeatureGrid:
     """Scale each site's feature vector to unit L2 norm.
 
@@ -202,9 +213,4 @@ def l2_normalize_features(grid: FeatureGrid, epsilon: float = 1e-8) -> FeatureGr
     """
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
-    v = grid.data.astype(np.float64)
-    norms = np.sqrt((v * v).sum(axis=2, keepdims=True))
-    # vectors at or below the guard collapse to zero outright, which keeps
-    # the operation idempotent instead of drifting near the guard scale
-    out = np.where(norms > epsilon, v / np.where(norms > epsilon, norms, 1.0), 0.0)
-    return FeatureGrid(out.astype(np.float32))
+    return FeatureGrid(unit_rows(grid.data.astype(np.float64), epsilon).astype(np.float32))

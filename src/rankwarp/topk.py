@@ -48,12 +48,12 @@ class TopKProblem:
             raise ValidationError("scores must be finite")
         if not 1 <= self.k <= a.size:
             raise ValidationError(f"k={self.k} out of range for N={a.size}")
-        if self.lam <= 0:
-            raise ValidationError("lambda must be positive")
+        if not (np.isfinite(self.lam) and self.lam > 0):
+            raise ValidationError("lambda must be finite and positive")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be positive")
-        if self.tolerance <= 0:
-            raise ValidationError("tolerance must be positive")
+        if not (np.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValidationError("tolerance must be finite and positive")
         clamped = np.clip(a, -1.0, 1.0).astype(np.float32)
         clamped.flags.writeable = False
         object.__setattr__(self, "scores", clamped)

@@ -136,7 +136,7 @@ def _legacy_csv(corr):
     """The per-entry formatter the bulk writer replaced, kept as its oracle."""
     lines = ["query_index,exemplar_index,weight\n"]
     for q in range(corr.sites):
-        for e, wgt in zip(corr.row_indices(q), corr.weights[q]):
+        for e, wgt in zip(corr.indices[q], corr.weights[q]):
             lines.append(f"{q},{int(e)},{float(wgt):.9g}\n")
     return "".join(lines).encode()
 
@@ -236,6 +236,20 @@ class TestGradcheckCommand:
             main(["gradcheck", "--lambda", "0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--lambda", "nan"), ("--lambda", "inf"), ("--tolerance", "nan"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["topk", "--scores", "0.5,0.1,-0.2", "--k", "1"],
+        ["gradcheck", "--n", "4", "--trials", "1"],
+        ["warp", "cond.ftn", "exem.ftn"],
+    ])
+    def test_non_finite_solver_argument_rejected_by_parser(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(command + [flag, value])
+        assert exc.value.code == 2
+        assert f"expected a finite positive number, got {value}" in capsys.readouterr().err
+
 
 class TestSpeCommand:
     def test_single_label_equals_vanilla(self, tmp_path):
@@ -303,6 +317,10 @@ class TestBenchCommand:
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--sizes", "8x8"])
         assert exc.value.code == 2
+        for sizes in ("-4x4x4", "0x4x4", "8x8x2,4x0x2"):
+            with pytest.raises(SystemExit) as exc:
+                main(["bench", f"--sizes={sizes}"])
+            assert exc.value.code == 2
 
     def test_rerun_identical_apart_from_timing_columns(self, tmp_path):
         def masked(path):

@@ -7,13 +7,12 @@ from rankwarp.correspondence import (
     BlockPartition,
     SparseCorrespondence,
     block_attention,
-    dense_correspondence_baseline,
-    entry_count,
     partition_blocks,
     rank_blocks,
     warp,
 )
-from rankwarp.tensors import FeatureGrid, ValidationError
+from rankwarp.metrics import dense_correspondence_baseline, dense_warp
+from rankwarp.tensors import FeatureGrid, ValidationError, l2_normalize_features
 
 
 def _grid(rng, h, w, d):
@@ -57,13 +56,14 @@ class TestPartition:
 
     def test_block_vectors_follow_feature_indices(self):
         # channel 0 stores the raster site index, so each block vector must
-        # read off its own feature_indices row
+        # read off its own feature_indices row, unit-scaled
         h, w, d = 6, 4, 3
         data = np.zeros((h, w, d), dtype=np.float32)
         data[:, :, 0] = np.arange(h * w).reshape(h, w)
         part, feats = partition_blocks(FeatureGrid(data), 2)
-        got = feats.vectors.reshape(part.block_count, part.block_area, d)[:, :, 0]
-        assert np.array_equal(got, part.feature_indices().astype(np.float32))
+        got = feats.normalized.reshape(part.block_count, part.block_area, d)[:, :, 0]
+        rows = part.feature_indices().astype(np.float64)
+        assert np.array_equal(got, rows / np.linalg.norm(rows, axis=1, keepdims=True))
 
     def test_normalized_rows_are_unit(self):
         rng = np.random.default_rng(40)
@@ -133,12 +133,10 @@ class TestRanking:
             rank_blocks(a, b, k=1)
 
     def test_scores_kept_only_for_small_problems(self):
+        # the full score matrix is never kept; only the count of scored pairs
         rng = np.random.default_rng(47)
-        _, small = partition_blocks(_grid(rng, 8, 8, 2), 2)
-        assert rank_blocks(small, small, k=1).scores is not None
         _, big = partition_blocks(_grid(rng, 48, 48, 2), 2)
         ranking = rank_blocks(big, big, k=1, iters=5)
-        assert ranking.scores is None
         assert ranking.scored_pairs == 576 * 576
 
     def test_candidate_rows_ascending(self):
@@ -183,7 +181,7 @@ class TestAttention:
         grid = _grid(rng, 8, 8, 6)
         _, corr = _pipeline(grid, grid, 2, 1, tau=0.01)
         for q in range(corr.sites):
-            assert corr.row_indices(q)[np.argmax(corr.weights[q])] == q
+            assert corr.indices[q][np.argmax(corr.weights[q])] == q
 
     def test_equal_gammas_reduce_to_masked_softmax(self):
         # with all candidate gammas equal the gamma factor cancels in the
@@ -196,7 +194,7 @@ class TestAttention:
         qn = grid.vectors.astype(np.float64)
         qn /= np.linalg.norm(qn, axis=1, keepdims=True)
         for q in range(0, corr.sites, 7):
-            cols = corr.row_indices(q)
+            cols = corr.indices[q]
             t = qn[q] @ qn[cols].T / 0.2
             w = np.exp(t - t.max())
             assert np.allclose(corr.weights[q], w / w.sum(), atol=1e-6)
@@ -239,21 +237,42 @@ class TestAttention:
             block_attention(part, query, _grid(rng, 8, 8, 2), ranking, tau=0.1)
 
 
+class TestNormalizerGuard:
+    def test_norm_below_guard_collapses_to_zero(self):
+        # a nonzero norm under the 1e-8 guard must come out as exact zeros
+        # wherever the shared normalizer runs, not as a unit vector
+        rng = np.random.default_rng(56)
+        data = rng.standard_normal((4, 4, 3)).astype(np.float32)
+        data[:2, :2] = 0.0
+        data[0, 0, 1] = 5e-9  # site 0, and with it block 0, has norm 5e-9
+        grid = FeatureGrid(data)
+        assert np.array_equal(l2_normalize_features(grid).data[0, 0], np.zeros(3))
+        part, feats = partition_blocks(grid, 2)
+        assert np.array_equal(feats.normalized[0], np.zeros(12))
+        ranking = rank_blocks(feats, feats, k=4)  # k == N: every gamma is exactly 1
+        corr = block_attention(part, grid, grid, ranking, tau=0.1)
+        # site 0 has cosine 0 with every exemplar site, and every query site
+        # has cosine 0 with exemplar sites 0, 1, 4 and 5
+        assert np.array_equal(corr.weights[0], np.full(16, 1 / 16, dtype=np.float32))
+        zero_cols = np.isin(corr.indices, [0, 1, 4, 5])
+        for q in range(corr.sites):
+            assert np.unique(corr.weights[q][zero_cols[q]]).size == 1
+
+
 class TestDenseBaseline:
     def test_rows_are_dense_and_stochastic(self):
         rng = np.random.default_rng(60)
-        corr = dense_correspondence_baseline(_grid(rng, 4, 6, 3), _grid(rng, 6, 4, 3), 0.1)
-        assert corr.indices is None
-        assert corr.weights.shape == (24, 24)
-        assert np.array_equal(corr.row_indices(5), np.arange(24))
-        sums = corr.weights.astype(np.float64).sum(axis=1)
+        weights = dense_correspondence_baseline(_grid(rng, 4, 6, 3), _grid(rng, 6, 4, 3), 0.1)
+        assert weights.shape == (24, 24)
+        assert weights.dtype == np.float32
+        sums = weights.astype(np.float64).sum(axis=1)
         assert np.abs(sums - 1.0).max() < 1e-5
 
     def test_self_correspondence_peaks_on_diagonal(self):
         rng = np.random.default_rng(61)
         grid = _grid(rng, 6, 6, 8)
-        corr = dense_correspondence_baseline(grid, grid, 0.02)
-        assert np.array_equal(np.argmax(corr.weights, axis=1), np.arange(36))
+        weights = dense_correspondence_baseline(grid, grid, 0.02)
+        assert np.array_equal(np.argmax(weights, axis=1), np.arange(36))
 
     def test_ranked_warp_close_to_dense_when_argmax_retrieved(self):
         # when every dense argmax lands inside a retrieved block, the two
@@ -269,7 +288,7 @@ class TestDenseBaseline:
             query, exemplar = FeatureGrid(q), FeatureGrid(e)
             _, sparse = _pipeline(query, exemplar, 2, 3, tau=0.05)
             dense = dense_correspondence_baseline(query, exemplar, 0.05)
-            argmax = np.argmax(dense.weights, axis=1)
+            argmax = np.argmax(dense, axis=1)
             covered = all(
                 argmax[q] in sparse.indices[q] for q in range(sparse.sites)
             )
@@ -277,8 +296,8 @@ class TestDenseBaseline:
                 continue
             checked += 1
             gap = np.abs(
-                warp(sparse, exemplar).data.astype(np.float64)
-                - warp(dense, exemplar).data.astype(np.float64)
+                warp(sparse, exemplar).vectors.astype(np.float64)
+                - dense_warp(dense, exemplar).astype(np.float64)
             ).mean()
             assert gap < 0.05, f"warp gap {gap:.4f}"
         assert checked >= 1, "no instance had all argmaxes retrieved"
@@ -292,7 +311,7 @@ class TestDenseBaseline:
         assert np.array_equal(ranking.gammas, np.ones((1, 1)))
         dense = dense_correspondence_baseline(query, exemplar, 0.15)
         assert np.array_equal(corr.indices, np.tile(np.arange(16), (16, 1)))
-        assert np.allclose(corr.weights, dense.weights, atol=1e-6)
+        assert np.allclose(corr.weights, dense, atol=1e-6)
 
 
 class TestWarp:
@@ -307,8 +326,8 @@ class TestWarp:
     def test_dense_self_warp_near_identity(self):
         rng = np.random.default_rng(71)
         grid = _grid(rng, 6, 6, 8)
-        warped = warp(dense_correspondence_baseline(grid, grid, 0.005), grid)
-        assert np.abs(warped.data - grid.data).max() < 1e-4
+        warped = dense_warp(dense_correspondence_baseline(grid, grid, 0.005), grid)
+        assert np.abs(warped - grid.vectors).max() < 1e-4
 
     def test_sparse_self_warp_near_identity(self):
         rng = np.random.default_rng(72)
@@ -371,13 +390,13 @@ class TestEntryScaling:
         rng = np.random.default_rng(80)
         for h, w in ((16, 16), (32, 32)):
             _, corr = _pipeline(_grid(rng, h, w, 2), _grid(rng, h, w, 2), 2, 3, tau=0.07)
-            assert entry_count(corr) == h * w * 3 * 4
+            assert corr.entry_count == h * w * 3 * 4
 
     def test_dense_entries_are_l_squared(self):
         rng = np.random.default_rng(81)
         for h, w in ((8, 8), (16, 16)):
-            corr = dense_correspondence_baseline(_grid(rng, h, w, 2), _grid(rng, h, w, 2), 0.1)
-            assert entry_count(corr) == (h * w) ** 2
+            dense = dense_correspondence_baseline(_grid(rng, h, w, 2), _grid(rng, h, w, 2), 0.1)
+            assert dense.size == (h * w) ** 2
 
     def test_sparse_width_validation(self):
         w = np.full((4, 2), 0.5, dtype=np.float32)
@@ -385,5 +404,3 @@ class TestEntryScaling:
             SparseCorrespondence(2, 2, 8, w, np.array([[0, 9]] * 4, dtype=np.int32))
         with pytest.raises(ValidationError):
             SparseCorrespondence(2, 2, 8, w, np.array([[0, -1]] * 4, dtype=np.int32))
-        with pytest.raises(ValidationError):
-            SparseCorrespondence(2, 2, 8, w, None)  # dense rows must span all sites

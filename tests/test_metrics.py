@@ -9,7 +9,6 @@ import pytest
 from rankwarp.correspondence import (
     SparseCorrespondence,
     block_attention,
-    dense_correspondence_baseline,
     partition_blocks,
     rank_blocks,
 )
@@ -19,6 +18,7 @@ from rankwarp.metrics import (
     _traced,
     consistency_loss,
     cycle_loss,
+    dense_correspondence_baseline,
     render_csv,
     run_bench,
 )
@@ -42,7 +42,7 @@ def _cycle_oracle(corr, exemplar):
     l_e = corr.exemplar_sites
     t = np.zeros((corr.sites, l_e))
     for q in range(corr.sites):
-        t[q, corr.row_indices(q)] = corr.weights[q].astype(np.float64)
+        t[q, corr.indices[q]] = corr.weights[q].astype(np.float64)
     z = exemplar.vectors.astype(np.float64)
     warped = t @ z
     mass = t.sum(axis=0)
@@ -105,7 +105,10 @@ class TestCycle:
     def test_dense_rows_match_oracle(self):
         rng = np.random.default_rng(143)
         query, exemplar = _grid(rng, 6, 6, 3), _grid(rng, 6, 6, 3)
-        corr = dense_correspondence_baseline(query, exemplar, 0.1)
+        corr = SparseCorrespondence(
+            6, 6, 36, dense_correspondence_baseline(query, exemplar, 0.1),
+            np.tile(np.arange(36), (36, 1)),
+        )
         assert abs(cycle_loss(corr, exemplar) - _cycle_oracle(corr, exemplar)) < 1e-5
 
     def test_permutation_invariance(self):
@@ -115,11 +118,12 @@ class TestCycle:
         weights /= weights.sum(axis=1, keepdims=True)
         z = rng.standard_normal((9, 1, 4)).astype(np.float32)
         perm = rng.permutation(9)
+        dense_rows = np.tile(np.arange(9), (9, 1))
         base = cycle_loss(
-            SparseCorrespondence(9, 1, 9, weights), FeatureGrid(z)
+            SparseCorrespondence(9, 1, 9, weights, dense_rows), FeatureGrid(z)
         )
         permuted = cycle_loss(
-            SparseCorrespondence(9, 1, 9, weights[perm][:, perm]), FeatureGrid(z[perm])
+            SparseCorrespondence(9, 1, 9, weights[perm][:, perm], dense_rows), FeatureGrid(z[perm])
         )
         assert abs(base - permuted) < 1e-12
 

@@ -64,6 +64,10 @@ class TestProblem:
             TopKProblem(np.array([0.1]), k=1, lam=-1.0)
         with pytest.raises(ValidationError):
             TopKProblem(np.array([0.1]), k=1, tolerance=0.0)
+        for bad in (dict(lam=np.nan), dict(lam=np.inf), dict(tolerance=np.nan),
+                    dict(tolerance=np.inf)):
+            with pytest.raises(ValidationError):
+                TopKProblem(np.array([0.5, 0.1, -0.2]), k=1, **bad)
 
 
 class TestSolve:
