@@ -1,9 +1,10 @@
 """rankwarp: block-ranked sparse correspondence with differentiable top-k retrieval.
 
 Feature grids are partitioned into blocks; each query block retrieves its
-top-k exemplar blocks through an entropy-regularized transport solver with
-exact unrolled gradients, dense attention runs inside the retrieved blocks
-only, and the resulting row-stochastic correspondence warps the exemplar.
+top-k exemplar blocks through the exact dual of an entropy-regularized
+transport problem (a Sinkhorn solver with exact unrolled gradients is kept as
+the reference), dense attention runs inside the retrieved blocks only, and the
+resulting row-stochastic correspondence warps the exemplar.
 Semantic position encoding, confidence-weighted fusion, alignment metrics,
 and a memory benchmark round out the pipeline.
 """
@@ -50,9 +51,9 @@ from .topk import (
     TopKProblem,
     TransportPlan,
     build_cost,
+    dual_gamma,
     finite_difference_gradient,
     hard_topk_oracle,
-    sinkhorn_gamma_batch,
     sinkhorn_solve,
     soft_topk,
     soft_topk_backward,

@@ -74,6 +74,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0):
@@ -331,11 +338,18 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _add_solver_flags(sub, iters_default: int) -> None:
+# --max-iters and --tolerance help of topk and gradcheck, which run the Sinkhorn reference
+_SINKHORN_HELP = ("Sinkhorn step cap", "stop once every plan marginal is within half this")
+
+
+def _add_solver_flags(sub, solver_help: tuple[str, str] | None = None) -> None:
     sub.add_argument("--k", type=_positive_int, default=_DEFAULTS.k)
     sub.add_argument("--lambda", dest="lam", type=_positive_float, default=_DEFAULTS.lam)
-    sub.add_argument("--max-iters", type=_positive_int, default=iters_default)
-    sub.add_argument("--tolerance", type=_positive_float, default=_DEFAULTS.tolerance)
+    if solver_help:  # bench runs the ranking solver at its defaults
+        sub.add_argument("--max-iters", type=_positive_int, default=_DEFAULTS.max_iters,
+                         help=solver_help[0])
+        sub.add_argument("--tolerance", type=_positive_float, default=_DEFAULTS.tolerance,
+                         help=solver_help[1])
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -353,14 +367,14 @@ def _parser() -> argparse.ArgumentParser:
     warp_p.add_argument("--out-dir", default=".")
     warp_p.add_argument("--block-side", type=_positive_int, default=_DEFAULTS.block_side)
     warp_p.add_argument("--tau", type=_positive_float, default=_DEFAULTS.tau)
-    warp_p.add_argument("--spe-weight", type=float, default=_DEFAULTS.spe_weight)
+    warp_p.add_argument("--spe-weight", type=_finite_float, default=_DEFAULTS.spe_weight)
     warp_p.add_argument("--parallel", action="store_true")
-    _add_solver_flags(warp_p, _DEFAULTS.max_iters)
+    _add_solver_flags(warp_p, ("cap on Newton steps per problem", "stop at |sum(gamma) - k| <= this"))
     warp_p.set_defaults(func=cmd_warp)
 
     topk_p = subs.add_parser("topk", help="soft top-k selection over a score list")
     topk_p.add_argument("--scores", required=True, help="comma-separated scores in [-1,1]")
-    _add_solver_flags(topk_p, _DEFAULTS.max_iters)
+    _add_solver_flags(topk_p, _SINKHORN_HELP)
     topk_p.set_defaults(func=cmd_topk)
 
     grad_p = subs.add_parser("gradcheck", help="verify solver gradients against finite differences")
@@ -368,8 +382,8 @@ def _parser() -> argparse.ArgumentParser:
     grad_p.add_argument("--trials", type=_positive_int, default=50)
     grad_p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
     grad_p.add_argument("--step", type=_positive_float, default=1e-4)
-    _add_solver_flags(grad_p, 5000)
-    grad_p.set_defaults(func=cmd_gradcheck, lam=20.0)
+    _add_solver_flags(grad_p, _SINKHORN_HELP)
+    grad_p.set_defaults(func=cmd_gradcheck, lam=20.0, max_iters=5000)
 
     spe_p = subs.add_parser("spe", help="semantic position channels from a label mask")
     spe_p.add_argument("mask")
@@ -393,7 +407,7 @@ def _parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
     bench_p.add_argument("--out", default=None)
     bench_p.add_argument("--parallel", action="store_true")
-    _add_solver_flags(bench_p, _DEFAULTS.max_iters)
+    _add_solver_flags(bench_p)
     bench_p.set_defaults(func=cmd_bench)
     return parser
 

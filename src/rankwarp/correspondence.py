@@ -3,10 +3,10 @@
 Level one ranks exemplar blocks: both grids are partitioned into s x s blocks
 (b = s^2 features each), block vectors are the b member features concatenated
 in raster order and L2-normalized, and each query block retrieves the top-k
-exemplar blocks by cosine similarity through the differentiable ranking
-solver.  Level two runs dense attention inside the retrieved blocks only:
-query feature q gets weight gamma_block * exp(cos(q, e) / tau) on each
-exemplar feature e of a retrieved block, renormalized per row.
+exemplar blocks by cosine similarity through the soft top-k, solved exactly
+through its scalar dual.  Level two runs dense attention inside the retrieved
+blocks only: query feature q gets weight gamma_block * exp(cos(q, e) / tau) on
+each exemplar feature e of a retrieved block, renormalized per row.
 
 The result is a row-stochastic L x L correspondence with at most k * b stored
 entries per row instead of L, which is what makes warping large grids
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensors import FeatureGrid, ValidationError, unit_rows
-from .topk import sinkhorn_gamma_batch
+from .topk import dual_gamma
 
 # chunk of query blocks ranked per solver sweep; bounds peak memory at
 # O(chunk * N) while the full score matrix would be O(N^2)
@@ -104,14 +104,14 @@ class BlockRanking:
     candidates: np.ndarray  # (N_q, k) int32, ascending per row
     gammas: np.ndarray  # (N_q, k) float64
     max_scores: np.ndarray  # (N_q,) float64
-    iterations: np.ndarray  # (N_q,) int
-    marginal_errors: np.ndarray  # (N_q,) float64
+    iterations: np.ndarray  # (N_q,) int, Newton steps of the dual solve
+    marginal_errors: np.ndarray  # (N_q,) float64, |sum(gamma) - k| over all exemplar blocks
     scored_pairs: int
 
 
 def _rank_chunk(qn, en, k, lam, iters, tol):
     scores = qn @ en.T
-    gamma, used, errs = sinkhorn_gamma_batch(scores, k, lam, iters, tol)
+    gamma, used, errs = dual_gamma(scores, k, lam, iters, tol)
     order = np.argsort(-gamma, axis=1, kind="stable")[:, :k]
     cand = np.sort(order, axis=1).astype(np.int32)
     g = np.take_along_axis(gamma, cand, axis=1)
@@ -129,9 +129,10 @@ def rank_blocks(
 ) -> BlockRanking:
     """Retrieve the top-k exemplar blocks for every query block.
 
-    Each query block's N cosine scores form one ranking problem solved by the
-    Sinkhorn batch path (bit-identical to per-problem solves).  Candidates
-    are the k largest soft weights, ties toward the lower block index.
+    Each query block's N cosine scores form one ranking problem, solved to
+    |sum(gamma) - k| <= ``tol`` in at most ``iters`` Newton steps by
+    :func:`~rankwarp.topk.dual_gamma`.  Candidates are the k largest soft
+    weights, ties toward the lower block index.
     ``workers`` > 1 ranks chunks of query blocks in parallel; the output is
     bit-identical at any worker count because chunks are independent.
     """

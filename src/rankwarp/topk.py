@@ -4,16 +4,13 @@ Selecting the k largest of N correlation scores is cast as an earth mover's
 problem between the scores and the two-point support {-1, +1}: mass moved to
 +1 marks a score as selected.  Costs are squared distances, so the N x 2 cost
 matrix is C[i] = ((a_i + 1)^2, (a_i - 1)^2).  Row marginals are uniform 1/N;
-column marginals are ((N - k)/N, k/N).  With entropic regularization the
-problem is solved by Sinkhorn iteration on the kernel exp(-lambda * C), and
-the soft selection weight of score i is gamma_i = N * T[i, 1].
-
-The solver runs entirely in the log domain (states are log T), which keeps
-lambda up to the thousands finite, and alternates exact row and column
-scalings to the marginals.  Gradients with respect to the scores come from
-replaying the recorded iteration sequence in reverse; they are the exact
-gradients of the truncated map actually computed, whether or not it
-converged.
+column marginals are ((N - k)/N, k/N).  Score i's soft selection weight is
+gamma_i = N * T[i, 1] for the entropic plan T.  Block ranking solves for T
+exactly through its one dual scalar per problem (:func:`dual_gamma`).  The
+reference, :func:`sinkhorn_solve`, runs log-domain Sinkhorn iteration on the
+kernel exp(-lambda * C), which keeps lambda up to the thousands finite, and
+records a tape; replaying it in reverse gives the exact gradients of the
+truncated map actually computed, whether or not it converged.
 """
 
 from __future__ import annotations
@@ -136,10 +133,8 @@ def _col_step(s: np.ndarray, log_nu: np.ndarray) -> np.ndarray:
     return s + (log_nu - lse)
 
 
-def _marginal_error(t: np.ndarray, n: int, k) -> np.ndarray:
-    # k may be a scalar or one count per batch row; arithmetic is identical
-    kk = np.asarray(k, dtype=np.float64)
-    target = np.stack([(n - kk) / n, kk / n], axis=-1)
+def _marginal_error(t: np.ndarray, n: int, k: int) -> np.ndarray:
+    target = np.array([(n - k) / n, k / n])
     row = np.abs(t.sum(axis=-1) - 1.0 / n).max(axis=-1)
     col = np.abs(t.sum(axis=-2) - target).max(axis=-1)
     return np.maximum(row, col)
@@ -282,26 +277,18 @@ def finite_difference_gradient(
     return grad
 
 
-def sinkhorn_gamma_batch(
-    scores: np.ndarray,
-    k: int | np.ndarray,
-    lam: float,
-    max_iters: int = 100,
-    tolerance: float = 1e-6,
+def dual_gamma(
+    scores: np.ndarray, k: int | np.ndarray, lam: float, max_iters: int = 100, tolerance: float = 1e-6
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve B independent ranking problems over the same support in one sweep.
+    """Solve B ranking problems (rows of ``scores``) exactly through their scalar dual.
 
-    Row b of ``scores`` is one problem; each problem freezes at its own
-    convergence iteration, so every gamma row is bit-identical to what
-    :func:`sinkhorn_solve` produces for that row alone (asserted in tests).
-    ``k`` is one shared count or an array of B per-problem counts.  No tape
-    is kept: this is the forward-only path used for block ranking.
-
-    Returns
-    -------
-    (gamma, iterations, errors)
-        gamma float64 (B, N); per-problem iteration counts and final marginal
-        errors.
+    Every plan row has mass 1/N, so gamma_i = sigmoid(4 * lam * a_i + t) with t
+    the root of sum(gamma) = k, found by Newton steps that bisect a bracket on
+    the root whenever they leave it.  Scores are clamped and rounded through
+    float32 as in :class:`TopKProblem`; ``k`` is shared or one count per row.
+    A row stops once |sum(gamma) - k| <= ``tolerance`` or after ``max_iters``
+    steps.  Returns gamma (B, N) float64, the Newton steps per row and the
+    final |sum(gamma) - k| per row.  Forward only: block ranking keeps no tape.
     """
     raw = np.asarray(scores, dtype=np.float64)
     if raw.ndim != 2:
@@ -312,39 +299,35 @@ def sinkhorn_gamma_batch(
         raise ValidationError(f"per-problem k has shape {ks.shape}, expected ({b},)")
     if ks.ndim > 1 or ks.min() < 1 or ks.max() > n:
         raise ValidationError(f"k={k} out of range for N={n}")
-    if lam <= 0 or max_iters < 1 or tolerance <= 0:
-        raise ValidationError("lambda, max_iters and tolerance must be positive")
-    # mirror TopKProblem construction: clamp, then round-trip through float32
-    a = np.clip(raw, -1.0, 1.0).astype(np.float32).astype(np.float64)
-    if ks.ndim == 0 and int(ks) == n:
-        return np.ones((b, n)), np.zeros(b, dtype=int), np.zeros(b)
-    log_mu = -math.log(n)
-    # one marginal pair shared (scalar k) or one per problem; the broadcast
-    # arithmetic is elementwise identical, so mixed-k batches stay
-    # bit-identical to per-problem solves.  k == N rows are fully pinned by
-    # their zero column marginal and pre-freeze to the exact solution.
-    if ks.ndim == 0:
-        log_nu = np.log(np.array([(n - int(ks)) / n, int(ks) / n]))
-        active = np.arange(b)
-    else:
-        with np.errstate(divide="ignore"):
-            log_nu = np.log(np.stack([(n - ks) / n, ks / n], axis=-1))[:, None, :]
-        active = np.flatnonzero(ks != n)
-    s = -lam * np.stack([(a + 1.0) ** 2, (a - 1.0) ** 2], axis=-1)
-    iters = np.zeros(b, dtype=int)
-    errors = np.full(b, np.inf)
-    errors[np.setdiff1d(np.arange(b), active)] = 0.0
-    for m in range(max_iters):
-        if active.size == 0:
+    if not (np.isfinite(lam) and lam > 0 and np.isfinite(tolerance) and tolerance > 0):
+        raise ValidationError("lambda and tolerance must be finite and positive")
+    if max_iters < 1:
+        raise ValidationError("max_iters must be positive")
+    gamma, iters, errors = np.ones((b, n)), np.zeros(b, dtype=int), np.zeros(b)
+    # k == N rows keep gamma = 1 exactly; the others have a finite root
+    rows = np.flatnonzero(np.broadcast_to(ks, (b,)) < n)
+    kk = np.broadcast_to(ks, (b,))[rows].astype(np.int64)
+    z = 4.0 * lam * np.clip(raw[rows], -1.0, 1.0).astype(np.float32).astype(np.float64)
+    # every logit is at most logit(k/N) at lo, so sum(gamma) <= k there; >= k at hi
+    lo = np.log(kk) - np.log(n - kk) - z.max(axis=1)
+    hi = np.log(kk) - np.log(n - kk) - z.min(axis=1)
+    active = np.arange(rows.size)
+    top = -np.sort(-z, axis=1)
+    t = np.clip(-0.5 * (top[active, kk - 1] + top[active, kk]), lo, hi)
+    for m in range(max_iters + 1):
+        # sigmoid as exp(-log(1 + e^-x)), which keeps tiny weights' relative precision
+        g = np.exp(-np.logaddexp(0.0, -(z[active] + t[active, None])))
+        excess = g.sum(axis=1) - kk[active]
+        gamma[rows[active]], errors[rows[active]] = g, np.abs(excess)
+        keep = np.abs(excess) > tolerance
+        if m == max_iters or not keep.any():
             break
-        nu = log_nu if ks.ndim == 0 else log_nu[active]
-        sa = _col_step(_row_step(s[active], log_mu), nu)
-        err = _marginal_error(np.exp(sa), n, ks if ks.ndim == 0 else ks[active])
-        s[active] = sa
-        errors[active] = err
-        iters[active] = m + 1
-        active = active[err > _STOP_FACTOR * tolerance]
-    gamma = n * np.exp(s[:, :, 1])
-    if ks.ndim == 1:
-        gamma[ks == n] = 1.0
+        active, g, excess = active[keep], g[keep], excess[keep]
+        iters[rows[active]] = m + 1
+        lo[active[excess < 0]] = t[active[excess < 0]]
+        hi[active[excess > 0]] = t[active[excess > 0]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = t[active] - excess / (g * (1.0 - g)).sum(axis=1)
+        inside = (step > lo[active]) & (step < hi[active])
+        t[active] = np.where(inside, step, 0.5 * (lo[active] + hi[active]))
     return gamma, iters, errors

@@ -33,8 +33,8 @@ from rankwarp.tensors import (
 )
 from rankwarp.topk import (
     TopKProblem,
+    dual_gamma,
     hard_topk_oracle,
-    sinkhorn_gamma_batch,
     sinkhorn_solve,
 )
 
@@ -72,9 +72,7 @@ def test_01_topk_identifies_oracle_set(capsys):
     for n, group in by_n.items():
         ks = np.array([k for k, _ in group])
         block = np.stack([s for _, s in group])
-        gamma, _, _ = sinkhorn_gamma_batch(
-            block, ks, 200.0, max_iters=4000, tolerance=1e-4
-        )
+        gamma, _, _ = dual_gamma(block, ks, 200.0, max_iters=4000, tolerance=1e-4)
         for row, (k, scores) in zip(gamma, group):
             picked = np.sort(np.argsort(-row, kind="stable")[:k])
             if np.array_equal(picked, np.flatnonzero(hard_topk_oracle(scores, k))):

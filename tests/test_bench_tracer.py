@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 
 from rankwarp import cli
-from rankwarp.tensors import FeatureGrid, LabelMask, write_tensor
+from rankwarp.correspondence import partition_blocks
+from rankwarp.posenc import append_position, semantic_pe
+from rankwarp.tensors import FeatureGrid, LabelMask, l2_normalize_features, read_tensor, write_tensor
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 
@@ -48,6 +50,22 @@ def test_install_spans_records_a_warp_and_fuse_job(tmp_path, monkeypatch):
     assert rank["scored_pairs"] == 16 * 16
     assert rank["candidates"].shape == rank["gammas"].shape == (16, 3)
     assert len(rank["iterations"]) == 16
+    # run.py counts a problem as capped at max_iters; none may be
+    config = cli.RunConfig()
+    assert all(0 <= i < config.max_iters for i in rank["iterations"])
+    # the observed (candidate) gammas, extended to all 16 exemplar blocks
+    # through the dual scalar t they imply, gamma_j = sigmoid(z_j + t), sum to k
+    channels = semantic_pe(read_tensor(mask))
+    blocks = [
+        partition_blocks(append_position(l2_normalize_features(read_tensor(p)), channels), 2)[1]
+        for p in (cond, exem)
+    ]
+    scores = blocks[0].normalized @ blocks[1].normalized.T
+    z = 4.0 * config.lam * np.clip(scores, -1.0, 1.0).astype(np.float32).astype(np.float64)
+    for row, cand, gam in zip(z, rank["candidates"], rank["gammas"]):
+        c = np.argmax(gam * (1.0 - gam))
+        t = np.log(gam[c]) - np.log1p(-gam[c]) - row[cand[c]]
+        assert abs((1.0 / (1.0 + np.exp(-(row + t)))).sum() - 3) <= config.tolerance
     assert observed["correspondence.attention"]["entries"] == 64 * 3 * 4
     spans = {s["name"] for s in tracer.spans}
     assert {"fusion.fuse", "correspondence.warp", "cli.warp", "cli.fuse"} <= spans

@@ -250,6 +250,22 @@ class TestGradcheckCommand:
         assert exc.value.code == 2
         assert f"expected a finite positive number, got {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_spe_weight_rejected_by_parser(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["warp", "cond.ftn", "exem.ftn", "--spe-weight", value])
+        assert exc.value.code == 2
+        assert f"expected a finite number, got {value}" in capsys.readouterr().err
+
+    def test_zero_and_negative_spe_weight_accepted(self, tmp_path):
+        rng = np.random.default_rng(164)
+        cond = _write_grid(tmp_path / "cond.ftn", _random_grid(rng, 4, 4, 2))
+        mask = _write_mask(tmp_path / "mask.ftn", np.repeat([[0, 0, 1, 1]], 4, axis=0))
+        for weight in ("0", "-0.5"):
+            out = tmp_path / weight
+            argv = ["warp", cond, cond, "--mask", mask, "--spe-weight", weight, "--out-dir", str(out)]
+            assert main(argv) == 0
+
 
 class TestSpeCommand:
     def test_single_label_equals_vanilla(self, tmp_path):
@@ -321,6 +337,13 @@ class TestBenchCommand:
             with pytest.raises(SystemExit) as exc:
                 main(["bench", f"--sizes={sizes}"])
             assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag,value", [("--max-iters", "1"), ("--tolerance", "0.5")])
+    def test_solver_flags_rejected(self, flag, value):
+        # bench runs the ranking solver at its defaults, so it accepts no solver knobs
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--sizes", "8x8x2", flag, value])
+        assert exc.value.code == 2
 
     def test_rerun_identical_apart_from_timing_columns(self, tmp_path):
         def masked(path):

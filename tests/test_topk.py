@@ -7,9 +7,9 @@ from rankwarp.tensors import ValidationError
 from rankwarp.topk import (
     TopKProblem,
     build_cost,
+    dual_gamma,
     hard_topk_oracle,
     selection_from_tape,
-    sinkhorn_gamma_batch,
     sinkhorn_solve,
     soft_topk,
 )
@@ -192,46 +192,92 @@ class TestMonotonicity:
             assert after >= before - 1e-5, f"trial {trial}: {before:.6f} -> {after:.6f}"
 
 
+def _sinkhorn_reference(scores, k, lam):
+    """Per-row gamma from sinkhorn_solve and whether its own stop rule ended the run."""
+    p = TopKProblem(scores, k=k, lam=lam, max_iters=5000, tolerance=1e-10)
+    plan, tape = sinkhorn_solve(p)
+    return selection_from_tape(p, tape).gamma, plan.marginal_error <= 0.5 * p.tolerance
+
+
 class TestBatch:
-    def test_bit_parity_with_single_solves(self):
+    # Sinkhorn slows to a crawl on rows whose k-th score gap is wide at this
+    # lambda (still off by 1e-6 in plan units after 20000 steps), so the
+    # 1e-8 bound applies to the rows it converges on; every row must still
+    # rank the same k first.
+    def _check_against_sinkhorn(self, scores, ks, lam):
+        gamma, _, errs = dual_gamma(scores, ks, lam, tolerance=1e-12)
+        assert errs.max() <= 1e-12
+        converged = 0
+        for i, k in enumerate(np.broadcast_to(ks, len(scores))):
+            ref, done = _sinkhorn_reference(scores[i], int(k), lam)
+            top = np.sort(np.argsort(-gamma[i], kind="stable")[:k])
+            assert np.array_equal(top, np.sort(np.argsort(-ref, kind="stable")[:k])), f"row {i}"
+            if done:
+                converged += 1
+                assert np.abs(gamma[i] - ref).max() <= 1e-8, f"row {i} off converged Sinkhorn"
+        return converged
+
+    def test_matches_converged_single_solves(self):
         rng = np.random.default_rng(51)
         scores = rng.uniform(-1, 1, (20, 24))
-        gamma, iters, errs = sinkhorn_gamma_batch(scores, k=5, lam=50.0, max_iters=400)
-        for i in range(20):
-            p = TopKProblem(scores[i], k=5, lam=50.0, max_iters=400)
-            plan, tape = sinkhorn_solve(p)
-            single = p.n * np.exp(tape.states[-1][:, 1])
-            assert np.array_equal(gamma[i], single), f"row {i} diverged from single solve"
-            assert iters[i] == plan.iterations_used
-            assert errs[i] == plan.marginal_error
+        assert self._check_against_sinkhorn(scores, 5, 50.0) >= 10
 
     def test_k_equals_n(self):
-        gamma, iters, _ = sinkhorn_gamma_batch(np.zeros((3, 4)), k=4, lam=50.0)
+        gamma, iters, errs = dual_gamma(np.zeros((3, 4)), k=4, lam=50.0)
         assert np.array_equal(gamma, np.ones((3, 4)))
         assert iters.tolist() == [0, 0, 0]
+        assert errs.tolist() == [0.0, 0.0, 0.0]
 
-    def test_per_problem_k_bit_parity(self):
-        # mixed counts in one sweep, k == n rows included
+    def test_per_problem_k_matches_converged_single_solves(self):
+        # mixed counts in one call, k == n rows included
         rng = np.random.default_rng(52)
         scores = rng.uniform(-1, 1, (9, 12))
         ks = np.array([1, 3, 12, 5, 7, 2, 12, 9, 4])
-        gamma, iters, errs = sinkhorn_gamma_batch(scores, ks, lam=35.0, max_iters=800)
-        for i in range(9):
-            p = TopKProblem(scores[i], k=int(ks[i]), lam=35.0, max_iters=800)
-            plan, tape = sinkhorn_solve(p)
-            single = selection_from_tape(p, tape).gamma
-            assert np.array_equal(gamma[i], single), f"row {i} diverged"
-            assert iters[i] == plan.iterations_used
-            assert errs[i] == plan.marginal_error
+        assert self._check_against_sinkhorn(scores, ks, 35.0) >= 6
+        gamma, iters, _ = dual_gamma(scores, ks, lam=35.0)
+        assert np.array_equal(gamma[ks == 12], np.ones((2, 12)))
+        assert iters[ks == 12].tolist() == [0, 0]
+
+    def test_stopped_rows_meet_tolerance(self):
+        rng = np.random.default_rng(53)
+        for lam in (50.0, 200.0, 1000.0):
+            for n in (4, 64, 1024, 4096):
+                scores = rng.uniform(-1, 1, (16, n))
+                ks = rng.integers(1, n + 1, 16)
+                gamma, iters, errs = dual_gamma(scores, ks, lam, max_iters=100, tolerance=1e-6)
+                true_err = np.abs(gamma.sum(axis=1) - ks)
+                stopped = iters < 100
+                assert stopped.all(), f"lam={lam} N={n}: a row used all 100 steps"
+                assert (true_err[stopped] <= 1e-6).all(), f"lam={lam} N={n}"
+                assert np.array_equal(errs, true_err)
+                assert ((gamma >= 0) & (gamma <= 1)).all()
+
+    def test_step_cap_reports_true_error(self):
+        rng = np.random.default_rng(54)
+        scores = rng.uniform(-1, 1, (32, 1024))
+        gamma, iters, errs = dual_gamma(scores, 3, lam=1000.0, max_iters=1, tolerance=1e-12)
+        capped = errs > 1e-12
+        assert capped.any()
+        assert (iters[capped] == 1).all()
+        assert np.array_equal(errs, np.abs(gamma.sum(axis=1) - 3))
 
     def test_per_problem_k_validation(self):
         with pytest.raises(ValidationError):
-            sinkhorn_gamma_batch(np.zeros((3, 4)), np.array([1, 2]), lam=50.0)
+            dual_gamma(np.zeros((3, 4)), np.array([1, 2]), lam=50.0)
         with pytest.raises(ValidationError):
-            sinkhorn_gamma_batch(np.zeros((3, 4)), np.array([1, 0, 2]), lam=50.0)
+            dual_gamma(np.zeros((3, 4)), np.array([1, 0, 2]), lam=50.0)
         with pytest.raises(ValidationError):
-            sinkhorn_gamma_batch(np.zeros((3, 4)), np.array([1, 5, 2]), lam=50.0)
+            dual_gamma(np.zeros((3, 4)), np.array([1, 5, 2]), lam=50.0)
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [{"lam": np.nan}, {"lam": np.inf}, {"lam": 0.0}, {"tolerance": np.nan},
+         {"tolerance": np.inf}, {"tolerance": 0.0}, {"max_iters": 0}],
+    )
+    def test_bad_solver_parameters(self, knobs):
+        with pytest.raises(ValidationError):
+            dual_gamma(np.zeros((3, 4)), 1, **{"lam": 50.0, **knobs})
 
     def test_bad_shapes(self):
         with pytest.raises(ValidationError):
-            sinkhorn_gamma_batch(np.zeros(4), k=1, lam=50.0)
+            dual_gamma(np.zeros(4), k=1, lam=50.0)
