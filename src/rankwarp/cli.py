@@ -35,8 +35,8 @@ from .tensors import (
 from .topk import (
     TopKProblem,
     finite_difference_gradient,
+    selection_from_tape,
     sinkhorn_solve,
-    soft_topk,
     soft_topk_backward,
 )
 
@@ -253,9 +253,16 @@ def cmd_topk(args) -> int:
     problem = TopKProblem(
         scores, k=args.k, lam=args.lam, max_iters=args.max_iters, tolerance=args.tolerance
     )
-    selection = soft_topk(problem)
+    plan, tape = sinkhorn_solve(problem)
+    selection = selection_from_tape(problem, tape)
     print("gamma: " + ",".join(f"{g:.6f}" for g in selection.gamma))
     print("selected: " + ",".join(str(i) for i in np.flatnonzero(selection.hard)))
+    if plan.marginal_error > problem.tolerance:
+        print(
+            f"warning: Sinkhorn stopped at --max-iters after {plan.iterations_used} steps "
+            f"with marginal error {plan.marginal_error:.1e} above --tolerance {problem.tolerance:g}",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 

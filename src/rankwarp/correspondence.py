@@ -27,6 +27,8 @@ from .topk import dual_gamma
 # chunk of query blocks ranked per solver sweep; bounds peak memory at
 # O(chunk * N) while the full score matrix would be O(N^2)
 _CHUNK = 256
+# query sites warped per tile: a 1024 x d float64 output tile stays in cache
+_WARP_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -269,16 +271,22 @@ def warp(correspondence: SparseCorrespondence, exemplar: FeatureGrid) -> Feature
             f"{correspondence.exemplar_sites}"
         )
     z = exemplar.vectors.astype(np.float64)
-    w = correspondence.weights
-    idx = correspondence.indices
-    if exemplar.channels == 1:
-        # one channel: a plain row reduction, summed pairwise by numpy
-        out = (z[idx, 0] * w.astype(np.float64)).sum(axis=1)
-    else:
-        # one column of links at a time, in the order a (L, m, d) sum over
-        # axis 1 adds them, without materializing the (L, m, d) gather
-        out = z[idx[:, 0]] * w[:, :1].astype(np.float64)
-        for j in range(1, w.shape[1]):
-            out += z[idx[:, j]] * w[:, j : j + 1].astype(np.float64)
+    out = np.empty((correspondence.sites, exemplar.channels))
+    # rows in tiles whose output stays in cache; each row's sum runs in the
+    # same order as over the whole grid, so the bytes do not depend on the tile
+    for r0 in range(0, correspondence.sites, _WARP_ROWS):
+        rows = slice(r0, r0 + _WARP_ROWS)
+        w = correspondence.weights[rows]
+        idx = correspondence.indices[rows]
+        if exemplar.channels == 1:
+            # one channel: a plain row reduction, summed pairwise by numpy
+            out[rows, 0] = (z[idx, 0] * w.astype(np.float64)).sum(axis=1)
+        else:
+            # one column of links at a time, in the order a (L, m, d) sum over
+            # axis 1 adds them, without materializing the (L, m, d) gather
+            tile = out[rows]
+            np.multiply(z[idx[:, 0]], w[:, :1], out=tile)
+            for j in range(1, w.shape[1]):
+                tile += z[idx[:, j]] * w[:, j : j + 1]
     shape = (correspondence.height, correspondence.width, exemplar.channels)
     return FeatureGrid(out.reshape(shape).astype(np.float32))

@@ -5,12 +5,13 @@ problem between the scores and the two-point support {-1, +1}: mass moved to
 +1 marks a score as selected.  Costs are squared distances, so the N x 2 cost
 matrix is C[i] = ((a_i + 1)^2, (a_i - 1)^2).  Row marginals are uniform 1/N;
 column marginals are ((N - k)/N, k/N).  Score i's soft selection weight is
-gamma_i = N * T[i, 1] for the entropic plan T.  Block ranking solves for T
-exactly through its one dual scalar per problem (:func:`dual_gamma`).  The
-reference, :func:`sinkhorn_solve`, runs log-domain Sinkhorn iteration on the
-kernel exp(-lambda * C), which keeps lambda up to the thousands finite, and
-records a tape; replaying it in reverse gives the exact gradients of the
-truncated map actually computed, whether or not it converged.
+gamma_i = N * T[i, 1] for the entropic plan T, proportional to
+sigmoid(4 * lambda * a_i + t) for one dual gap t per problem.  Block ranking
+solves for t exactly by Newton steps (:func:`dual_gamma`).  The reference,
+:func:`sinkhorn_solve`, runs Sinkhorn scaling as the fixed-point iteration it
+reduces to on t and records every t; replaying that recursion in reverse gives
+the exact gradients of the truncated map actually computed, whether or not it
+converged.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .tensors import ValidationError
 # stop slightly inside the requested tolerance so the float32 plan's marginal
 # sums still meet it after rounding
 _STOP_FACTOR = 0.5
+# entries of the step-by-score block the backward pass replays at once
+_BACKWARD_ENTRIES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -79,30 +82,18 @@ class SoftSelection:
 
 @dataclass
 class SinkhornTape:
-    """Recorded iteration states, sufficient to replay forward or backward.
+    """Recorded dual gaps, sufficient to replay a solve forward or backward.
 
-    ``states[m]`` is the log-domain plan before double-step m; ``states[-1]``
-    is the final log plan.  ``trivial`` marks the k == N case, where the plan
-    is fully constrained and no iteration ran.
+    ``states[m]`` is the gap t before double-step m; ``states[-1]`` is the
+    gap after the last step.  ``z`` holds the logits 4 * lam * a.  When
+    k == N the plan is fully constrained: no step runs and t is +inf.
     """
 
     n: int
     k: int
     lam: float
-    log_mu: float
-    log_nu: np.ndarray
-    scores64: np.ndarray
+    z: np.ndarray
     states: list = field(default_factory=list)
-    trivial: bool = False
-
-    def replay(self) -> np.ndarray:
-        """Re-run the recorded iterations from the initial state; returns the final log plan."""
-        if self.trivial:
-            return self.states[-1]
-        s = self.states[0]
-        for _ in range(len(self.states) - 1):
-            s = _col_step(_row_step(s, self.log_mu), self.log_nu)
-        return s
 
 
 def build_cost(scores: np.ndarray) -> np.ndarray:
@@ -121,44 +112,34 @@ def hard_topk_oracle(scores: np.ndarray, k: int) -> np.ndarray:
     return mask
 
 
-def _row_step(s: np.ndarray, log_mu: float) -> np.ndarray:
-    # scale each row to mass 1/N; two columns, so the row LSE is a single logaddexp
-    return s + (log_mu - np.logaddexp(s[..., 0], s[..., 1]))[..., None]
+def _sigmoids(x: np.ndarray, top: int, bottom: int):
+    """sigmoid(x) and sigmoid(-x) along the last axis, each scaled by its largest entry.
+
+    Returns (p1, l1, p0, l0) with sigmoid(x) = p1 * exp(l1) and sigmoid(-x) =
+    p0 * exp(l0).  ``top`` and ``bottom`` index the largest and smallest x,
+    where p1 and p0 lie in [1/2, 1], so sums of p and their logs stay finite
+    at any lambda.
+    """
+    neg = np.minimum(x, 0.0)
+    pos = neg - x  # min(-x, 0), exactly
+    denom = 1.0 + np.exp(neg + pos)  # 1 + exp(-|x|)
+    l1, l0 = neg[..., top, None], pos[..., bottom, None]
+    return np.exp(neg - l1) / denom, l1, np.exp(pos - l0) / denom, l0
 
 
-def _col_step(s: np.ndarray, log_nu: np.ndarray) -> np.ndarray:
-    # scale each column to its marginal; LSE over N entries via max-shift
-    mx = s.max(axis=-2, keepdims=True)
-    lse = mx + np.log(np.exp(s - mx).sum(axis=-2, keepdims=True))
-    return s + (log_nu - lse)
-
-
-def _marginal_error(t: np.ndarray, n: int, k: int) -> np.ndarray:
-    target = np.array([(n - k) / n, k / n])
-    row = np.abs(t.sum(axis=-1) - 1.0 / n).max(axis=-1)
-    col = np.abs(t.sum(axis=-2) - target).max(axis=-1)
-    return np.maximum(row, col)
-
-
-def _trivial_solve(problem: TopKProblem) -> tuple[TransportPlan, SinkhornTape]:
-    # k == N: the column constraint forces T[i] = (0, 1/N) exactly
-    n = problem.n
-    final = np.full((n, 2), -np.inf)
-    final[:, 1] = -math.log(n)
-    plan = np.zeros((n, 2), dtype=np.float32)
-    plan[:, 1] = np.float32(1.0 / n)
-    tape = SinkhornTape(
-        n=n, k=problem.k, lam=problem.lam, log_mu=-math.log(n),
-        log_nu=np.array([-np.inf, 0.0]), scores64=problem.scores.astype(np.float64),
-        states=[final], trivial=True,
-    )
-    return TransportPlan(plan=plan, iterations_used=0, marginal_error=0.0), tape
+def _ends(z: np.ndarray) -> tuple[int, int]:
+    # z + t keeps the order of z, so these index the largest and smallest x
+    return int(z.argmax()), int(z.argmin())
 
 
 def sinkhorn_solve(problem: TopKProblem) -> tuple[TransportPlan, SinkhornTape]:
-    """Solve the regularized transport problem by log-domain Sinkhorn iteration.
+    """Solve the regularized transport problem by Sinkhorn iteration on the dual gap.
 
-    Iterates row scaling then column scaling, recording every state, until the
+    Each double-step scales the rows to 1/N and then the columns to their
+    marginals, which on the two-point support moves only the gap, from t = 0:
+    t <- t + logit(k/N) - log sum sigmoid(z + t) + log sum sigmoid(-z - t)
+    with z = 4 * lam * a, the sums formed in the log domain so that lambda in
+    the thousands stays finite.  Steps run, recording every t, until the
     worst marginal violation drops inside the tolerance or ``max_iters`` is
     exhausted.  Non-convergence is not an error: the plan is returned with
     ``marginal_error`` set and the caller decides.
@@ -169,32 +150,39 @@ def sinkhorn_solve(problem: TopKProblem) -> tuple[TransportPlan, SinkhornTape]:
         The plan (float32) and the tape for gradient replay.
     """
     n, k = problem.n, problem.k
+    z = 4.0 * problem.lam * problem.scores.astype(np.float64)
+    tape = SinkhornTape(n=n, k=k, lam=problem.lam, z=z)
     if k == n:
-        return _trivial_solve(problem)
-    log_mu = -math.log(n)
-    log_nu = np.log(np.array([(n - k) / n, k / n]))
-    a64 = problem.scores.astype(np.float64)
-    s = -problem.lam * build_cost(a64)
-    tape = SinkhornTape(
-        n=n, k=k, lam=problem.lam, log_mu=log_mu, log_nu=log_nu, scores64=a64
-    )
-    err = np.inf
-    iters = 0
-    for m in range(problem.max_iters):
-        tape.states.append(s)
-        s = _col_step(_row_step(s, log_mu), log_nu)
-        iters = m + 1
-        err = float(_marginal_error(np.exp(s), n, k))
+        # the column constraint forces T[i] = (0, 1/N) exactly
+        tape.states.append(math.inf)
+        plan = np.zeros((n, 2), dtype=np.float32)
+        plan[:, 1] = np.float32(1.0 / n)
+        return TransportPlan(plan=plan, iterations_used=0, marginal_error=0.0), tape
+    top, bottom = _ends(z)
+    logit = math.log(k / (n - k))
+    t, err = 0.0, math.inf
+    for _ in range(problem.max_iters):
+        tape.states.append(t)
+        p1, l1, p0, l0 = _sigmoids(z + t, top, bottom)
+        s1, s0 = float(p1.sum()), float(p0.sum())
+        # the column sums are exact after the column step; each row's mass is
+        # affine in sigmoid(x_i), so the worst row is at the largest or smallest x
+        err = max(abs(k * p1[i] / s1 + (n - k) * p0[i] / s0 - 1.0) for i in (top, bottom)) / n
+        t += logit - float(l1[0]) - math.log(s1) + float(l0[0]) + math.log(s0)
         if err <= _STOP_FACTOR * problem.tolerance:
             break
-    tape.states.append(s)
-    plan = np.exp(s).astype(np.float32)
-    return TransportPlan(plan=plan, iterations_used=iters, marginal_error=err), tape
+    tape.states.append(t)
+    plan = (np.stack([(n - k) / s0 * p0, k / s1 * p1], axis=1) / n).astype(np.float32)
+    return TransportPlan(plan=plan, iterations_used=len(tape.states) - 1, marginal_error=err), tape
 
 
 def selection_from_tape(problem: TopKProblem, tape: SinkhornTape) -> SoftSelection:
-    """Build the soft selection from a solve's final state (float64, not the float32 plan)."""
-    gamma = problem.n * np.exp(tape.states[-1][:, 1])
+    """Build the soft selection from a solve's last step (float64, not the float32 plan)."""
+    if tape.k == tape.n:
+        gamma = np.ones(tape.n)
+    else:
+        p1 = _sigmoids(tape.z + tape.states[-2], *_ends(tape.z))[0]
+        gamma = tape.k / p1.sum() * p1
     return SoftSelection(gamma=gamma, hard=hard_topk_oracle(problem.scores, problem.k))
 
 
@@ -207,9 +195,10 @@ def soft_topk(problem: TopKProblem) -> SoftSelection:
 def soft_topk_backward(tape: SinkhornTape, upstream: np.ndarray) -> np.ndarray:
     """Gradient of a scalar loss with respect to the scores.
 
-    Replays the recorded row/column scalings in reverse, then backs through
-    the exponential kernel and the cost construction.  ``upstream`` is the
-    loss gradient with respect to gamma.
+    Replays the recorded gap recursion in reverse: the last step maps x = z + t
+    to gamma = k * sigmoid(x) / S1, and each earlier step moves t by a function
+    of x with d t / d x_i = -sigmoid(x_i) * sigmoid(-x_i) * (1/S1 + 1/S0), where
+    S1 and S0 sum sigmoid(x) and sigmoid(-x).  ``upstream`` is d loss / d gamma.
 
     Parameters
     ----------
@@ -226,24 +215,31 @@ def soft_topk_backward(tape: SinkhornTape, upstream: np.ndarray) -> np.ndarray:
     up = np.asarray(upstream, dtype=np.float64).reshape(-1)
     if up.size != tape.n:
         raise ValidationError(f"upstream has {up.size} entries, tape expects {tape.n}")
-    if tape.trivial:
+    if tape.k == tape.n:
         # gamma is identically 1; nothing depends on the scores
         return np.zeros(tape.n)
-    # d loss / d (final log state): gamma_i = N * exp(S[i, 1])
-    ds = np.zeros((tape.n, 2))
-    ds[:, 1] = up * tape.n * np.exp(tape.states[-1][:, 1])
-    nu = np.exp(tape.log_nu)
-    for m in range(len(tape.states) - 2, -1, -1):
-        s_next = tape.states[m + 1]
-        r = _row_step(tape.states[m], tape.log_mu)
-        # column scaling: subtract the column-softmax-weighted column sum
-        ds = ds - np.exp(s_next - np.log(nu)) * ds.sum(axis=0, keepdims=True)
-        # row scaling: subtract the row-softmax-weighted row sum
-        ds = ds - np.exp(r - tape.log_mu) * ds.sum(axis=1, keepdims=True)
-    # through the kernel S0 = -lam * C and the cost C = ((a+1)^2, (a-1)^2)
-    dcost = -tape.lam * ds
-    a = tape.scores64
-    return dcost[:, 0] * 2.0 * (a + 1.0) + dcost[:, 1] * 2.0 * (a - 1.0)
+    ends = _ends(tape.z)
+    p1, _, p0, l0 = _sigmoids(tape.z + tape.states[-2], *ends)
+    gamma = tape.k / p1.sum() * p1
+    # the last step: d gamma_i / d x_j = gamma_j * sigmoid(-x_j) * (delta_ij - gamma_i / k)
+    dz = gamma * (p0 * np.exp(l0)) * (up - (up @ gamma) / tape.k)
+    dt = dz.sum()  # d loss / d t_{M-1}
+    # the earlier steps m < M - 1, a block of rows x = z + t_m at a time, last block first
+    steps = np.array(tape.states[:-2])
+    rows = max(1, _BACKWARD_ENTRIES // tape.n)
+    for hi in range(steps.size, 0, -rows):
+        lo = max(0, hi - rows)
+        p1, l1, p0, l0 = _sigmoids(tape.z + steps[lo:hi, None], *ends)
+        # d t_{m+1} / d x; an underflow in sigmoid(+-x) multiplies a ratio <= 1
+        dt_dx = -(
+            p1 / p1.sum(axis=1, keepdims=True) * (p0 * np.exp(l0))
+            + p0 / p0.sum(axis=1, keepdims=True) * (p1 * np.exp(l1))
+        )
+        # d t_{m+1} / d t_m = 1 + sum(d t_{m+1} / d x); carry[j] = d t_hi / d t_(lo + j)
+        carry = np.cumprod(np.append(1.0 + dt_dx.sum(axis=1), 1.0)[::-1])[::-1]
+        dz += dt * (carry[1:] @ dt_dx)
+        dt *= carry[0]
+    return 4.0 * tape.lam * dz
 
 
 def finite_difference_gradient(

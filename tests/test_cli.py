@@ -215,6 +215,20 @@ class TestTopkCommand:
         assert main(["topk", "--scores", "0.5,1.0", "--k", "1"]) == 0
         assert capsys.readouterr().out == clamped
 
+    def test_capped_solve_warns_on_stderr(self, capsys):
+        # at the defaults (lambda 50, 100 steps) Sinkhorn ends 1.6e-3 off the
+        # marginals; stdout and the exit code stay as for a converged solve
+        argv = ["topk", "--scores", "0.9,0.1,-0.5,0.7", "--k", "2"]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out == "gamma: 0.993766,0.012468,0.000000,0.993766\nselected: 0,3\n"
+        assert err.splitlines() == [
+            "warning: Sinkhorn stopped at --max-iters after 100 steps "
+            "with marginal error 1.6e-03 above --tolerance 1e-06"
+        ]
+        assert main(argv + ["--lambda", "2"]) == 0  # converges inside 100 steps
+        assert capsys.readouterr().err == ""
+
 
 class TestGradcheckCommand:
     def test_default_configuration_passes(self, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rankwarp.correspondence import (
+    _WARP_ROWS,
     BlockPartition,
     SparseCorrespondence,
     block_attention,
@@ -358,25 +359,29 @@ class TestWarp:
     @pytest.mark.parametrize("d", [1, 2, 3, 32])
     @pytest.mark.parametrize("m", [1, 4, 12, 192])
     def test_sparse_matches_gather_formula(self, d, m):
-        # the (L, m, d) gather-and-sum that the column loop replaced
+        # the (L, m, d) gather-and-sum that the column loop replaced, on a grid
+        # inside one row tile and on one whose rows cross a tile boundary
         rng = np.random.default_rng(76)
         data = rng.standard_normal((6, 9, d)).astype(np.float32)
-        weights = rng.random((40, m)).astype(np.float32)
-        weights /= weights.sum(axis=1, keepdims=True)
-        indices = rng.integers(0, 54, (40, m)).astype(np.int32)
         if m >= 16:
-            # row 0 sums to a float32 tie when added in order, and to just
-            # above it when added pairwise, as numpy sums a d == 1 gather
             data[0, :2] = [[1 + 2.0**-12], [2.0**-40]]
-            weights[0], indices[0] = 0.0, 2
-            weights[0, 0], indices[0, 0] = 1 + 2.0**-12, 0
-            weights[0, [1, 9]], indices[0, [1, 9]] = 2.0**-13, 1
         exemplar = FeatureGrid(data)
-        corr = SparseCorrespondence(5, 8, 54, weights, indices)
         z = exemplar.vectors.astype(np.float64)
-        gathered = (z[indices] * weights.astype(np.float64)[:, :, None]).sum(axis=1)
-        expected = gathered.reshape(5, 8, d).astype(np.float32)
-        assert warp(corr, exemplar).data.tobytes() == expected.tobytes()
+        for height in (5, _WARP_ROWS // 8 + 2):
+            weights = rng.random((height * 8, m)).astype(np.float32)
+            weights /= weights.sum(axis=1, keepdims=True)
+            indices = rng.integers(0, 54, (height * 8, m)).astype(np.int32)
+            if m >= 16:
+                # row 0 sums to a float32 tie when added in order, and to just
+                # above it when added pairwise, as numpy sums a d == 1 gather
+                weights[0], indices[0] = 0.0, 2
+                weights[0, 0], indices[0, 0] = 1 + 2.0**-12, 0
+                weights[0, [1, 9]], indices[0, [1, 9]] = 2.0**-13, 1
+                weights[-1], indices[-1] = weights[0], indices[0]  # the same row in a later tile
+            corr = SparseCorrespondence(height, 8, 54, weights, indices)
+            gathered = (z[indices] * weights.astype(np.float64)[:, :, None]).sum(axis=1)
+            expected = gathered.reshape(height, 8, d).astype(np.float32)
+            assert warp(corr, exemplar).data.tobytes() == expected.tobytes()
 
     def test_site_count_mismatch(self):
         rng = np.random.default_rng(75)

@@ -110,11 +110,15 @@ class TestSolve:
         assert plan.marginal_error > 0
 
     def test_nonnegative_every_iteration(self):
-        p = TopKProblem(np.array([0.8, -0.2, 0.3, -0.9]), k=2, lam=80.0, max_iters=50)
-        _, tape = sinkhorn_solve(p)
-        for state in tape.states:
-            assert np.exp(state).min() >= 0.0
-            assert np.isfinite(state[np.isfinite(state)]).all()
+        # the plan after each step m is the plan of a solve cut at m steps,
+        # whose gaps are the first m + 1 of the full solve's
+        a = np.array([0.8, -0.2, 0.3, -0.9])
+        _, tape = sinkhorn_solve(TopKProblem(a, k=2, lam=80.0, max_iters=50, tolerance=1e-300))
+        assert np.isfinite(tape.states).all()
+        for m in range(1, 51):
+            plan, cut = sinkhorn_solve(TopKProblem(a, k=2, lam=80.0, max_iters=m, tolerance=1e-300))
+            assert cut.states == tape.states[: m + 1]
+            assert plan.plan.min() >= 0.0 and np.isfinite(plan.plan).all()
 
     def test_k_equals_n_fully_constrained(self):
         p = TopKProblem(np.array([0.7, -0.7]), k=2)
@@ -131,7 +135,7 @@ class TestSolve:
         p1, t1 = sinkhorn_solve(TopKProblem(a, k=4, lam=30.0))
         p2, t2 = sinkhorn_solve(TopKProblem(a, k=4, lam=30.0))
         assert p1.plan.tobytes() == p2.plan.tobytes()
-        assert np.array_equal(t1.states[-1], t2.states[-1])
+        assert t1.states == t2.states
 
 
 class TestIndicatorLimit:

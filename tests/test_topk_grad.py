@@ -1,12 +1,16 @@
 """Reverse-mode gradients of the solver versus finite differences."""
 
+import math
+
 import numpy as np
 import pytest
 
 from rankwarp.tensors import ValidationError
 from rankwarp.topk import (
     TopKProblem,
+    build_cost,
     finite_difference_gradient,
+    selection_from_tape,
     sinkhorn_solve,
     soft_topk_backward,
 )
@@ -112,13 +116,85 @@ class TestFiniteDifferences:
 
 class TestTape:
     def test_replay_reproduces_plan_bit_exactly(self):
+        # a solve pinned to the recorded step count, as finite_difference_gradient
+        # runs it, replays every gap and the plan bit for bit
         rng = np.random.default_rng(13)
         for _ in range(5):
             a = rng.uniform(-1, 1, 10)
             plan, tape = sinkhorn_solve(TopKProblem(a, k=3, lam=30.0))
-            replayed = np.exp(tape.replay()).astype(np.float32)
-            assert np.array_equal(replayed, plan.plan)
+            pinned = TopKProblem(a, k=3, lam=30.0, max_iters=plan.iterations_used, tolerance=1e-300)
+            replayed, again = sinkhorn_solve(pinned)
+            assert again.states == tape.states
+            assert np.array_equal(replayed.plan, plan.plan)
 
     def test_tape_length_matches_iterations(self):
         plan, tape = sinkhorn_solve(TopKProblem(np.array([0.4, -0.1, 0.6]), k=1, lam=10.0))
         assert len(tape.states) == plan.iterations_used + 1
+
+
+def _legacy_sinkhorn(problem, upstream):
+    """The N x 2 log-domain Sinkhorn and its unrolled backward that the gap
+    recursion replaced, kept as its oracle; (iterations, error, gamma, gradient)."""
+    n, k = problem.n, problem.k
+    log_mu = -math.log(n)
+    log_nu = np.log(np.array([(n - k) / n, k / n]))
+    a = problem.scores.astype(np.float64)
+
+    def row_step(s):
+        return s + (log_mu - np.logaddexp(s[:, 0], s[:, 1]))[:, None]
+
+    def col_step(s):
+        mx = s.max(axis=0, keepdims=True)
+        return s + (log_nu - (mx + np.log(np.exp(s - mx).sum(axis=0, keepdims=True))))
+
+    states = [-problem.lam * build_cost(a)]
+    for _ in range(problem.max_iters):
+        states.append(col_step(row_step(states[-1])))
+        t = np.exp(states[-1])
+        row = np.abs(t.sum(axis=1) - 1.0 / n).max()
+        err = max(row, np.abs(t.sum(axis=0) - np.exp(log_nu)).max())
+        if err <= 0.5 * problem.tolerance:
+            break
+    ds = np.zeros((n, 2))
+    ds[:, 1] = upstream * n * np.exp(states[-1][:, 1])
+    for m in range(len(states) - 2, -1, -1):
+        ds = ds - np.exp(states[m + 1] - log_nu) * ds.sum(axis=0, keepdims=True)
+        ds = ds - np.exp(row_step(states[m]) - log_mu) * ds.sum(axis=1, keepdims=True)
+    dcost = -problem.lam * ds
+    grad = dcost[:, 0] * 2.0 * (a + 1.0) + dcost[:, 1] * 2.0 * (a - 1.0)
+    return len(states) - 1, err, n * np.exp(states[-1][:, 1]), grad
+
+
+def _cross_check_cases():
+    rng = np.random.default_rng(14)
+    cases = []
+    for _ in range(40):
+        n = int(rng.integers(2, 65))
+        cases.append((rng.uniform(-1, 1, n), int(rng.integers(1, n)), float(rng.choice([5.0, 20.0, 50.0, 200.0])), 100))
+    cases += [
+        (np.full(16, 0.5), 4, 1000.0, 100),  # every score equal: sigmoid(-x) underflows
+        (np.full(16, -0.7), 4, 1000.0, 100),  # and sigmoid(x)
+        (rng.uniform(-1, 1, 24), 5, 1e5, 100),
+        (rng.uniform(-1, 1, 24), 23, 50.0, 100),  # k = N - 1
+        (rng.uniform(-1, 1, 24), 6, 50.0, 3),  # truncated
+        (rng.uniform(-1, 1, 400), 3, 50.0, 100),  # the backward replays the steps in several blocks
+    ]
+    return cases
+
+
+class TestGapRecursion:
+    @pytest.mark.parametrize("case", _cross_check_cases())
+    def test_matches_legacy_sinkhorn(self, case):
+        scores, k, lam, max_iters = case
+        problem = TopKProblem(scores, k=k, lam=lam, max_iters=max_iters)
+        upstream = np.random.default_rng(15).standard_normal(problem.n)
+        iters, err, gamma, grad = _legacy_sinkhorn(problem, upstream)
+        plan, tape = sinkhorn_solve(problem)
+        assert plan.iterations_used == iters
+        # the legacy states hold lam * cost, so they round at about 1e-16 * lam:
+        # that floor bounds the error and gradient of an all-equal row
+        assert abs(plan.marginal_error - err) <= 1e-12
+        assert np.abs(selection_from_tape(problem, tape).gamma - gamma).max() <= 1e-12
+        got = soft_topk_backward(tape, upstream)
+        floor = 1e-13 * lam * np.linalg.norm(upstream)
+        assert np.linalg.norm(got - grad) <= 1e-10 * np.linalg.norm(grad) + floor
