@@ -102,39 +102,73 @@ def _read_mask(path: str) -> LabelMask:
     return mask
 
 
-# ASCII digits of 0..999: row j holds digit j of every zero-padded triple
-_TRIPLES = (np.arange(1000) // np.array([[100], [10], [1]]) % 10 + ord("0")).astype(np.uint8)
-# CSV entries formatted per chunk; bounds the writer's peak at O(chunk)
-_CSV_CHUNK_ENTRIES = 1 << 18
+# CSV entries formatted per chunk; bounds the writer's peak at O(chunk) and
+# keeps a chunk's line matrix (40 bytes a line for 4-digit indices) in cache
+_CSV_CHUNK_ENTRIES = 1 << 14
 # 10**k is exact in float64 up to k = 22, so w * 10**(8 - X) is rounded once
 _POW10 = 10.0 ** np.arange(23)
-_ZERO, _DOT = ord("0"), ord(".")
 
-# The CSV is built as character matrices with one column per line and one
-# row per character position; NUL marks a character that is dropped.
-
-
-def _digits(values: np.ndarray, width: int) -> list[np.ndarray]:
-    """ASCII digit rows, most significant first, of ints in [0, 1000**ceil(width / 3))."""
-    rows = []
-    for g in range(-(-width // 3) - 1, -1, -1):
-        triple = values // 1000**g % 1000
-        rows += [row[triple] for row in _TRIPLES]
-    return rows
+# The CSV is built as a row-major byte matrix, one line per row, whose fields
+# sit at fixed columns with NUL padding; dropping every NUL byte leaves the
+# text.  A line is the query's digits right-aligned after NUL padding, a
+# comma, the exemplar's digits right-aligned, then three 8-byte words of
+# weight: a right-aligned head with its comma, the fraction digits and a
+# left-aligned tail.  The bytes of a full-width line form two runs, which is
+# what the NUL drop pays for.
 
 
-def _int_chars(values: np.ndarray, width: int) -> np.ndarray:
-    """Character matrix of ints in [0, 10**width), leading zeros as NUL."""
-    rows = _digits(values, width)
-    lead = np.ones(values.shape, dtype=bool)
-    for row in rows[:-1]:  # zero itself prints one digit
-        lead &= row == _ZERO
-        row *= ~lead
-    return np.stack(rows)
+def _quad_tables() -> np.ndarray:
+    """ASCII of the 4-digit groups 0..9999 in four tables, one uint32 per group.
+
+    The tables print a group with leading zeros as NUL and 0 as all NUL (a
+    group above every digit), with leading zeros as NUL (the lowest group),
+    zero-padded (a group below a nonzero one) and with trailing zeros as NUL
+    (a fraction, which %g strips).  Each is the 100 x 100 grid of two-digit
+    pairs with some digits cleared.
+    """
+    pairs = (np.arange(100) // np.array([[10], [1]]) % 10 + ord("0")).astype(np.uint8)
+    pairs = pairs.T.copy().view(np.uint16)[:, 0]
+    quads = np.empty((4, 100, 100, 2), dtype=np.uint16)
+    quads[..., 0] = pairs[:, None]
+    quads[..., 1] = pairs
+    digits = quads.view(np.uint8).reshape(4, 10**4, 4)
+    for j in range(4):
+        digits[:2, : 10 ** (3 - j), j] = 0  # leading zeros
+        digits[3, :: 10 ** (4 - j), j] = 0  # trailing zeros
+    digits[1, 0, 3] = ord("0")  # the lowest group prints 0 as one digit
+    return digits.view(np.uint32)[..., 0]
 
 
-def _weight_chars(w: np.ndarray) -> np.ndarray:
-    """Character matrix of ``f"{float(w):.9g}"`` for float32 weights.
+_QUADS = _quad_tables()
+_GROUPS, _STRIPPED = _QUADS[:3], _QUADS[3]
+# first four fraction digits: zero-padded, or stripped when the last four are 0
+_FRAC_HIGH = _QUADS[2:].reshape(-1)
+# a weight w in [1e-14, 1) prints as head, 8 fraction digits and tail; with
+# X = floor(log10 w), the tail is indexed by X and the head by (X, first
+# digit, fraction is 0): "0." and -X-1 zeros then the digit for X >= -4,
+# else "d." (or "d" before an empty fraction) and "e-XX"
+_EXPONENTS = range(-14, 0)
+_HEADS = np.frombuffer(b"".join(
+    (f",0.{'0' * (-x - 1)}{d}" if x >= -4 else f",{d}{'' if zero else '.'}").encode().rjust(8, b"\0")
+    for x in _EXPONENTS for d in range(10) for zero in (False, True)
+), np.uint64)
+_TAILS = np.frombuffer(b"".join(
+    ("\n" if x >= -4 else f"e-{-x:02d}\n").encode().ljust(8, b"\0") for x in _EXPONENTS
+), np.uint64)
+
+
+def _digit_groups(slots: np.ndarray, values: np.ndarray) -> None:
+    """Fill ``slots`` (n, g) with ints in [0, 10**(4 g)), right-aligned, leading zeros as NUL."""
+    groups = slots.shape[1]
+    rest = values
+    for g in range(groups - 1, 0, -1):
+        rest, quad = np.divmod(rest, 10**4)
+        slots[:, g] = _GROUPS[np.where(rest > 0, 2, int(g == groups - 1)), quad]
+    slots[:, 0] = _GROUPS[int(groups == 1), rest]
+
+
+def _weight_words(words: np.ndarray, w: np.ndarray) -> None:
+    """Fill ``words`` (n, 3) with ``","``, ``f"{float(w):.9g}"`` and a newline, for float32 weights.
 
     Weights in [1e-14, 1) are rounded to 9 significant digits from the float64
     product w * 10**(8 - X), with X = floor(log10 w).  The product carries
@@ -151,53 +185,56 @@ def _weight_chars(w: np.ndarray) -> np.ndarray:
     # a mantissa outside [1e8, 1e9) means log10 or the rounding crossed a
     # power of ten; such rows and near-halfway rows fall back
     plain &= (mant >= 1e8) & (mant < 1e9) & (np.abs(scaled - np.floor(scaled) - 0.5) > 1e-6)
-    d = _digits(np.where(plain, mant, 1e8).astype(np.int32), 9)
-    trailing = np.ones(w.shape, dtype=bool)
-    for row in d[:0:-1]:  # %g strips trailing zeros; the first digit is never 0
-        trailing &= row == _ZERO
-        row *= ~trailing
-
-    # fixed, 1e-4 <= w < 1: "0." then -X-1 zeros then the digits;
-    # scientific, w < 1e-4: "d.dddddddde-XX", or "de-XX" for d.00000000
-    sci = exp < -4
-    fixed = [np.uint8(_ZERO), np.uint8(_DOT)]
-    fixed += [np.where(exp + 4 <= j, _ZERO, 0).astype(np.uint8) for j in range(3)] + d
-    scientific = d[:1] + [np.where(trailing, 0, _DOT).astype(np.uint8)] + d[1:]
-    scientific += [np.uint8(ord("e")), np.uint8(ord("-")), _TRIPLES[1][-exp], _TRIPLES[2][-exp]]
-    out = np.stack([np.where(sci, s, f) for s, f in zip(scientific, fixed)])
-
+    lead, frac = np.divmod(np.where(plain, mant, 1e8).astype(np.int64), 10**8)
+    high, low = np.divmod(frac, 10**4)
+    x = np.clip(exp, _EXPONENTS[0], _EXPONENTS[-1]) - _EXPONENTS[0]
+    words[:, 0] = _HEADS[(x * 10 + lead) * 2 + (frac == 0)]
+    fraction = words[:, 1:2].view(np.uint32)
+    fraction[:, 0] = _FRAC_HIGH[high + 10**4 * (low == 0)]
+    fraction[:, 1] = _STRIPPED[low]
+    words[:, 2] = _TAILS[x]
     fallback = np.flatnonzero(~plain)
-    if fallback.size:
-        text = [f"{float(v):.9g}".encode() for v in w[fallback]]
-        width = max(14, *map(len, text))
-        if width > 14:
-            out = np.pad(out, ((0, width - 14), (0, 0)))
-        padded = b"".join(t.ljust(width, b"\0") for t in text)
-        out[:, fallback] = np.frombuffer(padded, np.uint8).reshape(-1, width).T
-    return out
+    if fallback.size:  # a float32 prints in at most 15 bytes
+        text = b"".join(f",{float(v):.9g}\n".encode().ljust(24, b"\0") for v in w[fallback])
+        words[fallback] = np.frombuffer(text, np.uint64).reshape(-1, 3)
 
 
 def _write_correspondence_csv(path: str, corr: SparseCorrespondence) -> None:
     """Write the ``q,e,w`` lines of a ranked correspondence, w as ``%.9g`` of the float32 weight.
 
-    Each chunk of whole query rows becomes one character matrix, which is
-    compacted and written in one call.
+    Each chunk of whole query rows becomes one line matrix, whose NUL bytes
+    are dropped before it is written in one call.
     """
     sites, m = corr.weights.shape
-    q_width = len(str(sites - 1))
-    e_width = len(str(corr.exemplar_sites - 1))
+    q_groups = -(-len(str(sites - 1)) // 4)
+    e_groups = -(-len(str(corr.exemplar_sites - 1)) // 4)
+    # NUL padding before the query puts the exemplar on 4-byte and the
+    # weight on 8-byte columns
+    pad = -(4 * (q_groups + e_groups) + 1) % 8
+    e0 = (pad + 4 * q_groups + 1) // 4  # first exemplar slot
+    w0 = (e0 + e_groups) // 2  # first weight word
     rows_per_chunk = max(1, _CSV_CHUNK_ENTRIES // m)
+    # one buffer for every chunk: fresh pages would be faulted in each time
+    buffer = np.empty((min(rows_per_chunk, sites) * m, w0 + 3), dtype=np.uint64)
     with open(path, "wb") as fh:
         fh.write(b"query_index,exemplar_index,weight\n")
         for r0 in range(0, sites, rows_per_chunk):
             r1 = min(r0 + rows_per_chunk, sites)
-            q = np.repeat(_int_chars(np.arange(r0, r1), q_width), m, axis=1)
-            e = _int_chars(corr.indices[r0:r1].reshape(-1), e_width)
-            w = _weight_chars(corr.weights[r0:r1].reshape(-1))
-            sep = np.full((1, q.shape[1]), ord(","), dtype=np.uint8)
-            end = np.full_like(sep, ord("\n"))
-            line = np.concatenate([q, sep, e, sep, w, end]).T.copy()
-            fh.write(line[line != 0].tobytes())
+            lines = buffer[: (r1 - r0) * m]
+            slots = lines.view(np.uint32)
+            # the padded query and its comma, once per row, then on its m lines
+            query = np.zeros((r1 - r0, e0), dtype=np.uint32)
+            digits = np.empty((r1 - r0, q_groups), dtype=np.uint32)
+            _digit_groups(digits, np.arange(r0, r1))
+            query_bytes = query.view(np.uint8)
+            query_bytes[:, pad : pad + 4 * q_groups] = digits.view(np.uint8)
+            query_bytes[:, -1] = ord(",")
+            for j in range(e0):
+                slots[:, j].reshape(r1 - r0, m)[:] = query[:, j : j + 1]
+            _digit_groups(slots[:, e0 : 2 * w0], corr.indices[r0:r1].reshape(-1))
+            _weight_words(lines[:, w0:], corr.weights[r0:r1].reshape(-1))
+            text = lines.view(np.uint8).reshape(-1)
+            fh.write(text[text != 0])
 
 
 def cmd_warp(args) -> int:

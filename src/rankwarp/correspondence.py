@@ -244,19 +244,22 @@ def block_attention(
         cand_feat = e_feat[ranking.candidates[c0:c1]].reshape(c1 - c0, k * b)
         q_vec = qn[q_feat[c0:c1]]  # (c, b, d)
         e_vec = en[cand_feat]  # (c, k*b, d)
-        cos = np.einsum("cbd,ced->cbe", q_vec, e_vec)
+        # the softmax runs in place on the cosines' own buffer
+        w = np.einsum("cbd,ced->cbe", q_vec, e_vec)
         # log-domain combination: the largest candidate gamma is never zero
         # (its column marginal is k/N), so the row max stays finite
         with np.errstate(divide="ignore"):
             log_g = np.log(ranking.gammas[c0:c1])
-        t = cos / tau + np.repeat(log_g, b, axis=1)[:, None, :]
-        t -= t.max(axis=2, keepdims=True)
-        w = np.exp(t)
+        w /= tau
+        w += np.repeat(log_g, b, axis=1)[:, None, :]
+        w -= w.max(axis=2, keepdims=True)
+        np.exp(w, out=w)
         w /= w.sum(axis=2, keepdims=True)
-        # correspondence rows are raster site indices, not block-major order
-        rows = q_feat[c0:c1].reshape(-1)
-        indices[rows] = np.repeat(cand_feat, b, axis=0)
-        weights[rows] = w.reshape((c1 - c0) * b, k * b).astype(np.float32)
+        # correspondence rows are raster site indices, not block-major order;
+        # a block's sites share its candidates
+        rows = q_feat[c0:c1]  # (c, b)
+        indices[rows] = cand_feat[:, None, :]
+        weights[rows] = w
     return SparseCorrespondence(
         height=partition.height, width=partition.width,
         exemplar_sites=exemplar_grid.site_count, weights=weights, indices=indices,
@@ -272,6 +275,7 @@ def warp(correspondence: SparseCorrespondence, exemplar: FeatureGrid) -> Feature
         )
     z = exemplar.vectors.astype(np.float64)
     out = np.empty((correspondence.sites, exemplar.channels))
+    linked = np.empty((min(_WARP_ROWS, correspondence.sites), exemplar.channels))
     # rows in tiles whose output stays in cache; each row's sum runs in the
     # same order as over the whole grid, so the bytes do not depend on the tile
     for r0 in range(0, correspondence.sites, _WARP_ROWS):
@@ -283,10 +287,15 @@ def warp(correspondence: SparseCorrespondence, exemplar: FeatureGrid) -> Feature
             out[rows, 0] = (z[idx, 0] * w.astype(np.float64)).sum(axis=1)
         else:
             # one column of links at a time, in the order a (L, m, d) sum over
-            # axis 1 adds them, without materializing the (L, m, d) gather
+            # axis 1 adds them, without materializing the (L, m, d) gather;
+            # indices are in range by construction, so "clip" never clips
             tile = out[rows]
-            np.multiply(z[idx[:, 0]], w[:, :1], out=tile)
+            z_j = linked[: tile.shape[0]]
+            np.take(z, idx[:, 0], axis=0, out=tile, mode="clip")
+            tile *= w[:, :1]
             for j in range(1, w.shape[1]):
-                tile += z[idx[:, j]] * w[:, j : j + 1]
+                np.take(z, idx[:, j], axis=0, out=z_j, mode="clip")
+                z_j *= w[:, j : j + 1]
+                tile += z_j
     shape = (correspondence.height, correspondence.width, exemplar.channels)
     return FeatureGrid(out.reshape(shape).astype(np.float32))

@@ -4,12 +4,14 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rankwarp
+from rankwarp import cli
 from rankwarp.cli import _write_correspondence_csv, main
 from rankwarp.correspondence import SparseCorrespondence
 from rankwarp.posenc import vanilla_pe
@@ -160,6 +162,11 @@ def _crafted_weights():
     return np.array(edges + near + special + halfway, dtype=np.float32)
 
 
+def _table_bytes(table):
+    """The entries of a writer table as bytes objects, NUL padding kept."""
+    return [table[i : i + 1].tobytes() for i in range(table.size)]
+
+
 class TestCorrespondenceCsv:
     @staticmethod
     def _assert_matches_oracle(tmp_path, weights, exemplar_sites, rng, width):
@@ -171,6 +178,81 @@ class TestCorrespondenceCsv:
         path = tmp_path / "corr.csv"
         _write_correspondence_csv(str(path), corr)
         assert path.read_bytes() == _legacy_csv(corr)
+
+    def test_digit_group_tables_match_python_formatting(self):
+        groups = range(10**4)
+        zero_padded = [f"{g:04d}".encode() for g in groups]
+        assert _table_bytes(cli._GROUPS[2]) == zero_padded
+        assert _table_bytes(cli._GROUPS[1]) == [str(g).encode().rjust(4, b"\0") for g in groups]
+        assert _table_bytes(cli._GROUPS[0]) == [
+            (str(g) if g else "").encode().rjust(4, b"\0") for g in groups
+        ]
+        stripped = [f"{g:04d}".rstrip("0").encode().ljust(4, b"\0") for g in groups]
+        assert _table_bytes(cli._STRIPPED) == stripped
+        assert _table_bytes(cli._FRAC_HIGH) == zero_padded + stripped
+
+    def test_heads_and_tails_match_python_formatting(self):
+        # every head and tail through the writer's own indexing; float64
+        # weights also reach the heads before an empty fraction, which no
+        # float32 below 1e-4 rounds to
+        fractions = ("", "00001", "5", "12345678", "99999999")
+        weights = np.array([
+            float(f"{lead}{fraction.ljust(8, '0')}e{x - 8}")
+            for x in cli._EXPONENTS for lead in range(1, 10) for fraction in fractions
+        ])
+        words = np.zeros((weights.size, 3), dtype=np.uint64)
+        cli._weight_words(words, weights)
+        written = [line.tobytes().replace(b"\0", b"") for line in words]
+        assert written == [f",{w:.9g}\n".encode() for w in weights]
+
+    def test_ten_digit_exemplar_indices_use_fixed_tables(self, tmp_path):
+        # no table may grow with the index range: the writer's traced peak
+        # for 15 entries stays small at 10**9 + 7 exemplar sites
+        rng = np.random.default_rng(183)
+        exemplar_sites = 10**9 + 7
+        weights = (10.0 ** rng.uniform(-12, 0, (5, 3))).astype(np.float32)
+        indices = rng.integers(0, exemplar_sites, weights.shape).astype(np.int32)
+        indices[0] = [0, 9, 10**4]
+        indices[-1] = [10**8, 10**9, exemplar_sites - 1]
+        corr = SparseCorrespondence(1, 5, exemplar_sites, weights, indices)
+        path = tmp_path / "corr.csv"
+        tracemalloc.start()
+        try:
+            _write_correspondence_csv(str(path), corr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes() == _legacy_csv(corr)
+        assert peak < 64 * 1024
+
+    def test_ragged_last_chunk(self, tmp_path):
+        rng = np.random.default_rng(184)
+        width = 7
+        rows = 2 * (cli._CSV_CHUNK_ENTRIES // width) + 13
+        weights = (10.0 ** rng.uniform(-9, 0, rows * width)).astype(np.float32)
+        self._assert_matches_oracle(tmp_path, weights, 4099, rng, width=width)
+
+    def test_warp_command_csv_matches_oracle(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(185)
+        cond = _write_grid(tmp_path / "cond.ftn", _random_grid(rng, 32, 32, 8))
+        exem = _write_grid(tmp_path / "exem.ftn", _random_grid(rng, 32, 32, 8))
+        labels = np.zeros((32, 32), dtype=np.uint32)
+        labels[:16] = 1
+        labels[:, 24:] = 2
+        mask = _write_mask(tmp_path / "mask.ftn", labels)
+        built = []
+        attention = cli.block_attention
+
+        def recording_attention(*args):
+            built.append(attention(*args))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "block_attention", recording_attention)
+        out = tmp_path / "out"
+        argv = ["warp", cond, exem, "--mask", mask, "--block-side", "8", "--out-dir", str(out)]
+        assert main(argv) == 0
+        assert len(built) == 1
+        assert (out / "correspondence.csv").read_bytes() == _legacy_csv(built[0])
 
     def test_crafted_weights(self, tmp_path):
         rng = np.random.default_rng(180)
