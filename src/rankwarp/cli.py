@@ -203,9 +203,11 @@ def _write_correspondence_csv(path: str, corr: SparseCorrespondence) -> None:
     """Write the ``q,e,w`` lines of a ranked correspondence, w as ``%.9g`` of the float32 weight.
 
     Each chunk of whole query rows becomes one line matrix, whose NUL bytes
-    are dropped before it is written in one call.
+    are dropped before it is written in one call.  A row's exemplar indices
+    are its block's links.
     """
     sites, m = corr.weights.shape
+    blocks = corr.site_blocks()
     q_groups = -(-len(str(sites - 1)) // 4)
     e_groups = -(-len(str(corr.exemplar_sites - 1)) // 4)
     # NUL padding before the query puts the exemplar on 4-byte and the
@@ -231,13 +233,16 @@ def _write_correspondence_csv(path: str, corr: SparseCorrespondence) -> None:
             query_bytes[:, -1] = ord(",")
             for j in range(e0):
                 slots[:, j].reshape(r1 - r0, m)[:] = query[:, j : j + 1]
-            _digit_groups(slots[:, e0 : 2 * w0], corr.indices[r0:r1].reshape(-1))
+            _digit_groups(slots[:, e0 : 2 * w0], corr.links[blocks[r0:r1]].reshape(-1))
             _weight_words(lines[:, w0:], corr.weights[r0:r1].reshape(-1))
             text = lines.view(np.uint8).reshape(-1)
             fh.write(text[text != 0])
 
 
 def cmd_warp(args) -> int:
+    if args.exemplar_mask is not None and args.mask is None:
+        print("error: --exemplar-mask requires --mask", file=sys.stderr)
+        return EXIT_USAGE
     cond = _read_grid(args.conditional)
     exem = _read_grid(args.exemplar)
     if (cond.height, cond.width) != (exem.height, exem.width):
@@ -246,20 +251,21 @@ def cmd_warp(args) -> int:
         )
     if cond.channels != exem.channels:
         raise ValidationError(f"channel counts differ: {cond.channels} vs {exem.channels}")
-    mask = None
-    if args.mask is not None:
-        mask = _read_mask(args.mask)
+    # the conditional's mask, then the exemplar's if it has its own
+    masks = [_read_mask(path) for path in (args.mask, args.exemplar_mask) if path is not None]
+    for mask in masks:
         if (mask.height, mask.width) != (cond.height, cond.width):
             raise ValidationError("mask dimensions do not match the grids")
 
     # raw inputs (pixels or features) are normalized per site, then optionally
-    # augmented with the mask's position channels on both sides
+    # augmented with each grid's region coordinates; without an exemplar mask
+    # both grids take the conditional's
     query = l2_normalize_features(cond)
     target = l2_normalize_features(exem)
-    if mask is not None:
-        channels = semantic_pe(mask)
-        query = append_position(query, channels, args.spe_weight)
-        target = append_position(target, channels, args.spe_weight)
+    if masks:
+        channels = [semantic_pe(mask) for mask in masks]
+        query = append_position(query, channels[0], args.spe_weight)
+        target = append_position(target, channels[-1], args.spe_weight)
 
     part, q_blocks = partition_blocks(query, args.block_side)
     _, e_blocks = partition_blocks(target, args.block_side)
@@ -407,7 +413,9 @@ def _parser() -> argparse.ArgumentParser:
     warp_p = subs.add_parser("warp", help="warp an exemplar grid onto a conditional grid")
     warp_p.add_argument("conditional")
     warp_p.add_argument("exemplar")
-    warp_p.add_argument("--mask", default=None)
+    warp_p.add_argument("--mask", default=None, help="label mask of the conditional")
+    warp_p.add_argument("--exemplar-mask", default=None,
+                        help="label mask of the exemplar (default: the --mask)")
     warp_p.add_argument("--out-dir", default=".")
     warp_p.add_argument("--block-side", type=_positive_int, default=_DEFAULTS.block_side)
     warp_p.add_argument("--tau", type=_positive_float, default=_DEFAULTS.tau)

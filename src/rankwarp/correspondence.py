@@ -10,8 +10,11 @@ each exemplar feature e of a retrieved block, renormalized per row.
 
 The result is a row-stochastic L x L correspondence with at most k * b stored
 entries per row instead of L, which is what makes warping large grids
-affordable.  Retrieval is hard (k block indices) while the gamma weights stay
-soft, so gradients flow through the ranking level.
+affordable.  Every site of a query block attends to the same k * b exemplar
+sites, so the links are stored once per query block and each site keeps only
+its own weights; attention and warping run as batched matrix products over
+query blocks.  Retrieval is hard (k block indices) while the gamma weights
+stay soft, so gradients flow through the ranking level.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from .topk import dual_gamma
 # chunk of query blocks ranked per solver sweep; bounds peak memory at
 # O(chunk * N) while the full score matrix would be O(N^2)
 _CHUNK = 256
-# query sites warped per tile: a 1024 x d float64 output tile stays in cache
-_WARP_ROWS = 1024
+# bytes of gathered exemplar rows per warp tile
+_WARP_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -173,26 +176,38 @@ def rank_blocks(
 
 @dataclass(frozen=True)
 class SparseCorrespondence:
-    """Row-stochastic query-to-exemplar links with uniform row width.
+    """Row-stochastic query-to-exemplar links, shared by the sites of a query block.
 
-    ``indices`` is (L_q, m) with m <= k*b entries per query feature, ordered
-    by (candidate block index, within-block offset); ``weights`` aligns with
-    it and sums to 1 per row.
+    Every site of query block g links to the same m <= k*b exemplar sites
+    ``links[g]``, ordered by (candidate block index, within-block offset).
+    ``weights`` holds each site's own m weights, in raster site order, and
+    sums to 1 per row.  A per-site correspondence is the one over 1 x 1
+    blocks.
     """
 
-    height: int
-    width: int
+    partition: BlockPartition
     exemplar_sites: int
-    weights: np.ndarray  # (L_q, m) float32
-    indices: np.ndarray  # (L_q, m) int32
+    weights: np.ndarray  # (L_q, m) float32, raster site order
+    links: np.ndarray  # (N_q, m) int32, the exemplar sites of each query block
 
     def __post_init__(self) -> None:
-        if self.weights.ndim != 2 or self.weights.shape[0] != self.height * self.width:
+        if self.weights.ndim != 2 or self.weights.shape[0] != self.sites:
             raise ValidationError(f"weights shape {self.weights.shape} does not match grid")
-        if self.indices.shape != self.weights.shape:
-            raise ValidationError("indices and weights shapes differ")
-        if self.indices.min() < 0 or self.indices.max() >= self.exemplar_sites:
+        if self.links.shape != (self.partition.block_count, self.weights.shape[1]):
+            raise ValidationError(
+                f"links shape {self.links.shape} does not match "
+                f"{self.partition.block_count} blocks of {self.weights.shape[1]} links"
+            )
+        if self.links.min() < 0 or self.links.max() >= self.exemplar_sites:
             raise ValidationError("correspondence index out of range")
+
+    @property
+    def height(self) -> int:
+        return self.partition.height
+
+    @property
+    def width(self) -> int:
+        return self.partition.width
 
     @property
     def sites(self) -> int:
@@ -202,6 +217,17 @@ class SparseCorrespondence:
     def entry_count(self) -> int:
         """Stored weight entries, L * k * b for a ranked correspondence."""
         return self.weights.size
+
+    def site_blocks(self) -> np.ndarray:
+        """(L_q,) query block of each raster site."""
+        part = self.partition
+        rows = np.arange(part.height) // part.block_side * part.blocks_w
+        return (rows[:, None] + np.arange(part.width) // part.block_side).reshape(-1)
+
+    @property
+    def indices(self) -> np.ndarray:
+        """(L_q, m) exemplar sites of each query site, ``links`` expanded per site."""
+        return self.links[self.site_blocks()]
 
 
 def block_attention(
@@ -235,17 +261,15 @@ def block_attention(
     qn = unit_rows(query_grid.vectors.astype(np.float64))
     en = unit_rows(exemplar_grid.vectors.astype(np.float64))
     q_feat = partition.feature_indices()  # (N_q, b)
-    e_feat = e_part.feature_indices()  # (N_e, b)
     n_q = partition.block_count
-    indices = np.empty((n_q * b, k * b), dtype=np.int32)
+    links = e_part.feature_indices()[ranking.candidates].reshape(n_q, k * b).astype(np.int32)
     weights = np.empty((n_q * b, k * b), dtype=np.float32)
     for c0 in range(0, n_q, _CHUNK):
         c1 = min(c0 + _CHUNK, n_q)
-        cand_feat = e_feat[ranking.candidates[c0:c1]].reshape(c1 - c0, k * b)
         q_vec = qn[q_feat[c0:c1]]  # (c, b, d)
-        e_vec = en[cand_feat]  # (c, k*b, d)
+        e_vec = en[links[c0:c1]]  # (c, k*b, d)
         # the softmax runs in place on the cosines' own buffer
-        w = np.einsum("cbd,ced->cbe", q_vec, e_vec)
+        w = np.matmul(q_vec, e_vec.transpose(0, 2, 1))
         # log-domain combination: the largest candidate gamma is never zero
         # (its column marginal is k/N), so the row max stays finite
         with np.errstate(divide="ignore"):
@@ -255,47 +279,33 @@ def block_attention(
         w -= w.max(axis=2, keepdims=True)
         np.exp(w, out=w)
         w /= w.sum(axis=2, keepdims=True)
-        # correspondence rows are raster site indices, not block-major order;
-        # a block's sites share its candidates
-        rows = q_feat[c0:c1]  # (c, b)
-        indices[rows] = cand_feat[:, None, :]
-        weights[rows] = w
+        # correspondence rows are raster site indices, not block-major order
+        weights[q_feat[c0:c1]] = w
     return SparseCorrespondence(
-        height=partition.height, width=partition.width,
-        exemplar_sites=exemplar_grid.site_count, weights=weights, indices=indices,
+        partition=partition, exemplar_sites=exemplar_grid.site_count,
+        weights=weights, links=links,
     )
 
 
 def warp(correspondence: SparseCorrespondence, exemplar: FeatureGrid) -> FeatureGrid:
-    """Re-arrange exemplar features through the correspondence: out_q = sum w_qe * z_e."""
+    """Re-arrange exemplar features through the correspondence: out_q = sum w_qe * z_e.
+
+    The sites of a query block share their links, so each block is one
+    (b, m) @ (m, d) product, run as a batched GEMM over a tile of blocks.
+    """
     if exemplar.site_count != correspondence.exemplar_sites:
         raise ValidationError(
             f"exemplar has {exemplar.site_count} sites, correspondence indexes "
             f"{correspondence.exemplar_sites}"
         )
     z = exemplar.vectors.astype(np.float64)
+    links = correspondence.links
+    sites_of = correspondence.partition.feature_indices()  # (N_q, b)
     out = np.empty((correspondence.sites, exemplar.channels))
-    linked = np.empty((min(_WARP_ROWS, correspondence.sites), exemplar.channels))
-    # rows in tiles whose output stays in cache; each row's sum runs in the
-    # same order as over the whole grid, so the bytes do not depend on the tile
-    for r0 in range(0, correspondence.sites, _WARP_ROWS):
-        rows = slice(r0, r0 + _WARP_ROWS)
-        w = correspondence.weights[rows]
-        idx = correspondence.indices[rows]
-        if exemplar.channels == 1:
-            # one channel: a plain row reduction, summed pairwise by numpy
-            out[rows, 0] = (z[idx, 0] * w.astype(np.float64)).sum(axis=1)
-        else:
-            # one column of links at a time, in the order a (L, m, d) sum over
-            # axis 1 adds them, without materializing the (L, m, d) gather;
-            # indices are in range by construction, so "clip" never clips
-            tile = out[rows]
-            z_j = linked[: tile.shape[0]]
-            np.take(z, idx[:, 0], axis=0, out=tile, mode="clip")
-            tile *= w[:, :1]
-            for j in range(1, w.shape[1]):
-                np.take(z, idx[:, j], axis=0, out=z_j, mode="clip")
-                z_j *= w[:, j : j + 1]
-                tile += z_j
+    # blocks per tile: the gathered (G, m, d) float64 exemplar rows stay near 1 MiB
+    step = max(1, _WARP_BYTES // (links.shape[1] * exemplar.channels * 8))
+    for g0 in range(0, links.shape[0], step):
+        rows = sites_of[g0 : g0 + step]
+        out[rows] = correspondence.weights[rows].astype(np.float64) @ z[links[g0 : g0 + step]]
     shape = (correspondence.height, correspondence.width, exemplar.channels)
     return FeatureGrid(out.reshape(shape).astype(np.float32))

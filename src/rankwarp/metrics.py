@@ -75,11 +75,11 @@ def cycle_loss(correspondence: SparseCorrespondence, exemplar: FeatureGrid) -> f
     l_e, d = z.shape
     w = correspondence.weights.astype(np.float64)
     idx = correspondence.indices.reshape(-1)
-    flat = w.reshape(-1)
-    mass = np.zeros(l_e)
-    np.add.at(mass, idx, flat)
-    num = np.zeros((l_e, d))
-    np.add.at(num, idx, flat[:, None] * np.repeat(warped, w.shape[1], axis=0))
+    # the transposed scatter: bincount adds each exemplar's links in entry order
+    mass = np.bincount(idx, weights=w.reshape(-1), minlength=l_e)
+    num = np.empty((l_e, d))
+    for c in range(d):
+        num[:, c] = np.bincount(idx, weights=(w * warped[:, c, None]).reshape(-1), minlength=l_e)
     recon = np.divide(num, mass[:, None], out=np.zeros_like(num), where=mass[:, None] > 0)
     return float(np.abs(recon - z).mean())
 

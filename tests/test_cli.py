@@ -13,7 +13,7 @@ import pytest
 import rankwarp
 from rankwarp import cli
 from rankwarp.cli import _write_correspondence_csv, main
-from rankwarp.correspondence import SparseCorrespondence
+from rankwarp.correspondence import BlockPartition, SparseCorrespondence
 from rankwarp.posenc import vanilla_pe
 from rankwarp.tensors import FeatureGrid, LabelMask, read_tensor, write_tensor
 
@@ -87,6 +87,61 @@ class TestWarpCommand:
         masked = read_tensor(str(masked_dir / "warped.ftn"))
         assert plain.data.shape == masked.data.shape
         assert not np.array_equal(plain.data, masked.data)
+
+    def test_exemplar_mask_of_the_same_labels_keeps_bytes(self, tmp_path):
+        rng = np.random.default_rng(159)
+        cond = _write_grid(tmp_path / "cond.ftn", _random_grid(rng, 8, 8, 4))
+        exem = _write_grid(tmp_path / "exem.ftn", _random_grid(rng, 8, 8, 4))
+        labels = np.zeros((8, 8), dtype=np.uint32)
+        labels[:, 6:] = 3
+        mask = _write_mask(tmp_path / "mask.ftn", labels)
+        one, both = tmp_path / "one", tmp_path / "both"
+        assert main(["warp", cond, exem, "--mask", mask, "--out-dir", str(one)]) == 0
+        argv = ["warp", cond, exem, "--mask", mask, "--exemplar-mask", mask, "--out-dir", str(both)]
+        assert main(argv) == 0
+        for f in ("warped.ftn", "cmap.ftn", "correspondence.csv"):
+            assert (one / f).read_bytes() == (both / f).read_bytes()
+
+    def test_exemplar_mask_validation(self, tmp_path, capsys):
+        rng = np.random.default_rng(160)
+        cond = _write_grid(tmp_path / "cond.ftn", _random_grid(rng, 8, 8, 2))
+        mask = _write_mask(tmp_path / "mask.ftn", np.zeros((8, 8)))
+        small = _write_mask(tmp_path / "small.ftn", np.zeros((8, 4)))
+        out = tmp_path / "out"
+        base = ["warp", cond, cond, "--out-dir", str(out)]
+        assert main(base + ["--exemplar-mask", mask]) == 2
+        assert "--exemplar-mask requires --mask" in capsys.readouterr().err
+        assert main(base + ["--mask", mask, "--exemplar-mask", small]) == 4
+        assert main(base + ["--mask", mask, "--exemplar-mask", cond]) == 4
+        assert not out.exists()
+
+    def test_exemplar_mask_retrieves_swapped_regions(self, tmp_path):
+        # regions 8 and 24 columns wide swap places; with each grid's own
+        # region coordinates every query block finds its true source block
+        # at peak cosine >= 0.99, with the conditional's on both it does not
+        rng = np.random.default_rng(161)
+        grid = _random_grid(rng, 32, 32, 8)
+        labels = np.zeros((32, 32), dtype=np.uint32)
+        labels[:, 8:] = 1
+        cond = _write_grid(tmp_path / "cond.ftn", grid)
+        exem = _write_grid(tmp_path / "exem.ftn", np.roll(grid, -8, axis=1))
+        mask = _write_mask(tmp_path / "mask.ftn", labels)
+        exem_mask = _write_mask(tmp_path / "exem_mask.ftn", np.roll(labels, -8, axis=1))
+        ys, xs = np.mgrid[:32, :32]
+        true_site = (ys * 32 + (xs - 8) % 32).reshape(-1)
+
+        def retrieved(out):
+            peak = read_tensor(str(out / "cmap.ftn")).data
+            table = np.loadtxt(out / "correspondence.csv", delimiter=",", skiprows=1)
+            e, w = table[:, 1].reshape(1024, -1), table[:, 2].reshape(1024, -1)
+            best = e[np.arange(1024), w.argmax(axis=1)]
+            return peak.min() >= 0.99 and np.array_equal(best, true_site)
+
+        argv = ["warp", cond, exem, "--mask", mask, "--block-side", "8"]
+        assert main(argv + ["--exemplar-mask", exem_mask, "--out-dir", str(tmp_path / "own")]) == 0
+        assert retrieved(tmp_path / "own")
+        assert main(argv + ["--out-dir", str(tmp_path / "shared")]) == 0
+        assert not retrieved(tmp_path / "shared")
 
     def test_missing_input_no_partial_outputs(self, tmp_path):
         rng = np.random.default_rng(154)
@@ -174,7 +229,7 @@ class TestCorrespondenceCsv:
         weights = weights[: rows * width].reshape(rows, width)
         indices = rng.integers(0, exemplar_sites, weights.shape).astype(np.int32)
         indices[0, 0], indices[-1, -1] = 0, exemplar_sites - 1
-        corr = SparseCorrespondence(1, rows, exemplar_sites, weights, indices)
+        corr = SparseCorrespondence(BlockPartition(1, rows, 1), exemplar_sites, weights, indices)
         path = tmp_path / "corr.csv"
         _write_correspondence_csv(str(path), corr)
         assert path.read_bytes() == _legacy_csv(corr)
@@ -214,7 +269,7 @@ class TestCorrespondenceCsv:
         indices = rng.integers(0, exemplar_sites, weights.shape).astype(np.int32)
         indices[0] = [0, 9, 10**4]
         indices[-1] = [10**8, 10**9, exemplar_sites - 1]
-        corr = SparseCorrespondence(1, 5, exemplar_sites, weights, indices)
+        corr = SparseCorrespondence(BlockPartition(1, 5, 1), exemplar_sites, weights, indices)
         path = tmp_path / "corr.csv"
         tracemalloc.start()
         try:

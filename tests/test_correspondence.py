@@ -1,10 +1,13 @@
 """Block partitioning, retrieval, sparse attention, and warping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from rankwarp import correspondence
 from rankwarp.correspondence import (
-    _WARP_ROWS,
+    _WARP_BYTES,
     BlockPartition,
     SparseCorrespondence,
     block_attention,
@@ -13,7 +16,8 @@ from rankwarp.correspondence import (
     warp,
 )
 from rankwarp.metrics import dense_correspondence_baseline, dense_warp
-from rankwarp.tensors import FeatureGrid, ValidationError, l2_normalize_features
+from rankwarp.posenc import append_position, semantic_pe
+from rankwarp.tensors import FeatureGrid, LabelMask, ValidationError, l2_normalize_features
 
 
 def _grid(rng, h, w, d):
@@ -359,15 +363,16 @@ class TestWarp:
     @pytest.mark.parametrize("d", [1, 2, 3, 32])
     @pytest.mark.parametrize("m", [1, 4, 12, 192])
     def test_sparse_matches_gather_formula(self, d, m):
-        # the (L, m, d) gather-and-sum that the column loop replaced, on a grid
-        # inside one row tile and on one whose rows cross a tile boundary
+        # the (L, m, d) gather-and-sum that the per-block GEMM replaced, on
+        # grids of 40 and 1040 sites and on one that crosses a warp tile of
+        # 1 x 1 blocks at every (d, m)
         rng = np.random.default_rng(76)
         data = rng.standard_normal((6, 9, d)).astype(np.float32)
         if m >= 16:
             data[0, :2] = [[1 + 2.0**-12], [2.0**-40]]
         exemplar = FeatureGrid(data)
         z = exemplar.vectors.astype(np.float64)
-        for height in (5, _WARP_ROWS // 8 + 2):
+        for height in (5, 130, _WARP_BYTES // (8 * m * d * 8) + 2):
             weights = rng.random((height * 8, m)).astype(np.float32)
             weights /= weights.sum(axis=1, keepdims=True)
             indices = rng.integers(0, 54, (height * 8, m)).astype(np.int32)
@@ -378,7 +383,7 @@ class TestWarp:
                 weights[0, 0], indices[0, 0] = 1 + 2.0**-12, 0
                 weights[0, [1, 9]], indices[0, [1, 9]] = 2.0**-13, 1
                 weights[-1], indices[-1] = weights[0], indices[0]  # the same row in a later tile
-            corr = SparseCorrespondence(height, 8, 54, weights, indices)
+            corr = SparseCorrespondence(BlockPartition(height, 8, 1), 54, weights, indices)
             gathered = (z[indices] * weights.astype(np.float64)[:, :, None]).sum(axis=1)
             expected = gathered.reshape(height, 8, d).astype(np.float32)
             assert warp(corr, exemplar).data.tobytes() == expected.tobytes()
@@ -388,6 +393,84 @@ class TestWarp:
         _, corr = _pipeline(_grid(rng, 4, 4, 2), _grid(rng, 4, 4, 2), 2, 1, tau=0.1)
         with pytest.raises(ValidationError):
             warp(corr, _grid(rng, 4, 6, 2))
+
+
+def _scattered_indices(part, ranking):
+    """The per-site (L, m) index array block_attention scattered before links were kept per block."""
+    e_feat = BlockPartition(part.height, part.width, part.block_side).feature_indices()
+    cand_feat = e_feat[ranking.candidates].reshape(part.block_count, -1)
+    indices = np.empty((part.height * part.width, cand_feat.shape[1]), dtype=np.int32)
+    indices[part.feature_indices()] = cand_feat[:, None, :]
+    return indices
+
+
+class TestBlockLinks:
+    @pytest.mark.parametrize("side", [1, 2, 8])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_indices_equal_scattered_links(self, side, masked):
+        # the warp command's inputs: unit sites, with region coordinates
+        # appended on both sides when a mask is given
+        rng = np.random.default_rng(90)
+        query = l2_normalize_features(_grid(rng, 24, 32, 5))
+        exemplar = l2_normalize_features(_grid(rng, 24, 32, 5))
+        if masked:
+            labels = (np.arange(24)[:, None] // 9 + 3 * (np.arange(32) // 12)).astype(np.uint32)
+            channels = semantic_pe(LabelMask(labels))
+            query, exemplar = append_position(query, channels), append_position(exemplar, channels)
+        ranking, corr = _pipeline(query, exemplar, side, 3, tau=0.07)
+        assert corr.links.shape == (corr.partition.block_count, 3 * side * side)
+        assert corr.indices.tobytes() == _scattered_indices(corr.partition, ranking).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 32])
+    def test_ranked_warp_equals_per_site_expansion(self, d, monkeypatch):
+        # 576 query blocks of 4 sites; at the default tile size d = 32 crosses
+        # tile boundaries, and a 37-block tile makes every d cross them
+        rng = np.random.default_rng(91)
+        _, corr = _pipeline(_grid(rng, 48, 48, 4), _grid(rng, 48, 48, 4), 2, 3, tau=0.07)
+        per_site = SparseCorrespondence(
+            BlockPartition(48, 48, 1), corr.exemplar_sites, corr.weights, corr.indices
+        )
+        exemplar = _grid(rng, 48, 48, d)
+        warped = [warp(corr, exemplar).data.tobytes()]
+        warped.append(warp(per_site, exemplar).data.tobytes())
+        monkeypatch.setattr(correspondence, "_WARP_BYTES", 37 * 12 * d * 8)
+        warped.append(warp(corr, exemplar).data.tobytes())
+        warped.append(warp(per_site, exemplar).data.tobytes())
+        assert warped[1:] == warped[:1] * 3
+
+    def test_per_site_warp_peak_is_one_tile(self):
+        # m = 192 links per site over 1024 sites at d = 32: the whole (L, m, d)
+        # float64 gather would take 48 MiB, one tile of it about 1 MiB
+        rng = np.random.default_rng(92)
+        weights = rng.random((1024, 192)).astype(np.float32)
+        weights /= weights.sum(axis=1, keepdims=True)
+        links = rng.integers(0, 1024, (1024, 192)).astype(np.int32)
+        corr = SparseCorrespondence(BlockPartition(32, 32, 1), 1024, weights, links)
+        exemplar = _grid(rng, 32, 32, 32)
+        tracemalloc.start()
+        try:
+            warp(corr, exemplar)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_links_shape_must_match_blocks(self):
+        weights = np.full((16, 8), 0.125, dtype=np.float32)
+        part = BlockPartition(4, 4, 2)  # 4 blocks
+        SparseCorrespondence(part, 16, weights, np.zeros((4, 8), dtype=np.int32))
+        for shape in ((3, 8), (16, 8), (4, 7), (32,)):
+            with pytest.raises(ValidationError):
+                SparseCorrespondence(part, 16, weights, np.zeros(shape, dtype=np.int32))
+
+    def test_site_blocks_follow_feature_indices(self):
+        part = BlockPartition(6, 10, 2)
+        corr = SparseCorrespondence(
+            part, 4, np.ones((60, 1), dtype=np.float32), np.zeros((15, 1), dtype=np.int32)
+        )
+        blocks = np.empty(60, dtype=int)
+        blocks[part.feature_indices()] = np.arange(15)[:, None]
+        assert np.array_equal(corr.site_blocks(), blocks)
 
 
 class TestEntryScaling:
@@ -405,7 +488,8 @@ class TestEntryScaling:
 
     def test_sparse_width_validation(self):
         w = np.full((4, 2), 0.5, dtype=np.float32)
+        part = BlockPartition(2, 2, 1)
         with pytest.raises(ValidationError):
-            SparseCorrespondence(2, 2, 8, w, np.array([[0, 9]] * 4, dtype=np.int32))
+            SparseCorrespondence(part, 8, w, np.array([[0, 9]] * 4, dtype=np.int32))
         with pytest.raises(ValidationError):
-            SparseCorrespondence(2, 2, 8, w, np.array([[0, -1]] * 4, dtype=np.int32))
+            SparseCorrespondence(part, 8, w, np.array([[0, -1]] * 4, dtype=np.int32))

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from rankwarp.correspondence import (
+    BlockPartition,
     SparseCorrespondence,
     block_attention,
     partition_blocks,
     rank_blocks,
+    warp,
 )
 from rankwarp.metrics import (
     CSV_HEADER,
@@ -50,6 +52,22 @@ def _cycle_oracle(corr, exemplar):
     return float(np.abs(back @ warped - z).mean())
 
 
+def _cycle_add_at(corr, exemplar):
+    """The np.add.at scatter cycle_loss ran before np.bincount, kept as its oracle."""
+    warped = warp(corr, exemplar).vectors.astype(np.float64)
+    z = exemplar.vectors.astype(np.float64)
+    l_e, d = z.shape
+    w = corr.weights.astype(np.float64)
+    idx = corr.indices.reshape(-1)
+    flat = w.reshape(-1)
+    mass = np.zeros(l_e)
+    np.add.at(mass, idx, flat)
+    num = np.zeros((l_e, d))
+    np.add.at(num, idx, flat[:, None] * np.repeat(warped, w.shape[1], axis=0))
+    recon = np.divide(num, mass[:, None], out=np.zeros_like(num), where=mass[:, None] > 0)
+    return float(np.abs(recon - z).mean())
+
+
 class TestConsistency:
     def test_identical_grids(self):
         grid = _grid(np.random.default_rng(130), 4, 4, 3)
@@ -81,7 +99,7 @@ class TestCycle:
         rng = np.random.default_rng(140)
         exemplar = _grid(rng, 4, 4, 3)
         corr = SparseCorrespondence(
-            4, 4, 16,
+            BlockPartition(4, 4, 1), 16,
             np.ones((16, 1), dtype=np.float32),
             np.arange(16, dtype=np.int32).reshape(16, 1),
         )
@@ -91,7 +109,7 @@ class TestCycle:
         rng = np.random.default_rng(141)
         exemplar = _grid(rng, 4, 4, 3)
         corr = SparseCorrespondence(
-            4, 4, 16,
+            BlockPartition(4, 4, 1), 16,
             np.ones((16, 1), dtype=np.float32),
             np.zeros((16, 1), dtype=np.int32),
         )
@@ -106,7 +124,7 @@ class TestCycle:
         rng = np.random.default_rng(143)
         query, exemplar = _grid(rng, 6, 6, 3), _grid(rng, 6, 6, 3)
         corr = SparseCorrespondence(
-            6, 6, 36, dense_correspondence_baseline(query, exemplar, 0.1),
+            BlockPartition(6, 6, 1), 36, dense_correspondence_baseline(query, exemplar, 0.1),
             np.tile(np.arange(36), (36, 1)),
         )
         assert abs(cycle_loss(corr, exemplar) - _cycle_oracle(corr, exemplar)) < 1e-5
@@ -119,13 +137,22 @@ class TestCycle:
         z = rng.standard_normal((9, 1, 4)).astype(np.float32)
         perm = rng.permutation(9)
         dense_rows = np.tile(np.arange(9), (9, 1))
+        part = BlockPartition(9, 1, 1)
         base = cycle_loss(
-            SparseCorrespondence(9, 1, 9, weights, dense_rows), FeatureGrid(z)
+            SparseCorrespondence(part, 9, weights, dense_rows), FeatureGrid(z)
         )
         permuted = cycle_loss(
-            SparseCorrespondence(9, 1, 9, weights[perm][:, perm], dense_rows), FeatureGrid(z[perm])
+            SparseCorrespondence(part, 9, weights[perm][:, perm], dense_rows), FeatureGrid(z[perm])
         )
         assert abs(base - permuted) < 1e-12
+
+    def test_bincount_equals_add_at_formula(self):
+        # bincount adds each exemplar's links in the order add.at does, so
+        # the loss is the same float, also where some features go unreferenced
+        rng = np.random.default_rng(145)
+        for side, k, d in ((1, 4, 1), (2, 3, 5), (4, 1, 3), (4, 6, 2)):
+            corr, exemplar = _sparse(rng, 8, 12, d, side=side, k=k, tau=0.1)
+            assert cycle_loss(corr, exemplar) == _cycle_add_at(corr, exemplar)
 
     def test_unreferenced_features_reconstruct_to_zero(self):
         # both queries link to feature 0 only; features 1..3 should cost
@@ -133,7 +160,7 @@ class TestCycle:
         z = np.zeros((4, 1, 1), dtype=np.float32)
         z[:, 0, 0] = [0.0, 1.0, -2.0, 3.0]
         corr = SparseCorrespondence(
-            2, 2, 4,
+            BlockPartition(2, 2, 1), 4,
             np.ones((4, 1), dtype=np.float32),
             np.zeros((4, 1), dtype=np.int32),
         )
