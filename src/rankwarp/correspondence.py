@@ -30,8 +30,9 @@ from .topk import dual_gamma
 # chunk of query blocks ranked per solver sweep; bounds peak memory at
 # O(chunk * N) while the full score matrix would be O(N^2)
 _CHUNK = 256
-# bytes of gathered exemplar rows per warp tile
-_WARP_BYTES = 1 << 20
+# bytes of a tile's largest float64 work array (gathered exemplar rows, the
+# cosines) in attention and warp; 1 MiB stays in cache
+_TILE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -264,8 +265,10 @@ def block_attention(
     n_q = partition.block_count
     links = e_part.feature_indices()[ranking.candidates].reshape(n_q, k * b).astype(np.int32)
     weights = np.empty((n_q * b, k * b), dtype=np.float32)
-    for c0 in range(0, n_q, _CHUNK):
-        c1 = min(c0 + _CHUNK, n_q)
+    # the tile bounds both the gathered (c, k*b, d) exemplar rows and the cosines
+    step = max(1, _TILE_BYTES // (k * b * max(b, query_grid.channels) * 8))
+    for c0 in range(0, n_q, step):
+        c1 = min(c0 + step, n_q)
         q_vec = qn[q_feat[c0:c1]]  # (c, b, d)
         e_vec = en[links[c0:c1]]  # (c, k*b, d)
         # the softmax runs in place on the cosines' own buffer
@@ -302,8 +305,7 @@ def warp(correspondence: SparseCorrespondence, exemplar: FeatureGrid) -> Feature
     links = correspondence.links
     sites_of = correspondence.partition.feature_indices()  # (N_q, b)
     out = np.empty((correspondence.sites, exemplar.channels))
-    # blocks per tile: the gathered (G, m, d) float64 exemplar rows stay near 1 MiB
-    step = max(1, _WARP_BYTES // (links.shape[1] * exemplar.channels * 8))
+    step = max(1, _TILE_BYTES // (links.shape[1] * exemplar.channels * 8))
     for g0 in range(0, links.shape[0], step):
         rows = sites_of[g0 : g0 + step]
         out[rows] = correspondence.weights[rows].astype(np.float64) @ z[links[g0 : g0 + step]]

@@ -7,7 +7,7 @@ import pytest
 
 from rankwarp import correspondence
 from rankwarp.correspondence import (
-    _WARP_BYTES,
+    _TILE_BYTES,
     BlockPartition,
     SparseCorrespondence,
     block_attention,
@@ -372,7 +372,7 @@ class TestWarp:
             data[0, :2] = [[1 + 2.0**-12], [2.0**-40]]
         exemplar = FeatureGrid(data)
         z = exemplar.vectors.astype(np.float64)
-        for height in (5, 130, _WARP_BYTES // (8 * m * d * 8) + 2):
+        for height in (5, 130, _TILE_BYTES // (8 * m * d * 8) + 2):
             weights = rng.random((height * 8, m)).astype(np.float32)
             weights /= weights.sum(axis=1, keepdims=True)
             indices = rng.integers(0, 54, (height * 8, m)).astype(np.int32)
@@ -433,7 +433,7 @@ class TestBlockLinks:
         exemplar = _grid(rng, 48, 48, d)
         warped = [warp(corr, exemplar).data.tobytes()]
         warped.append(warp(per_site, exemplar).data.tobytes())
-        monkeypatch.setattr(correspondence, "_WARP_BYTES", 37 * 12 * d * 8)
+        monkeypatch.setattr(correspondence, "_TILE_BYTES", 37 * 12 * d * 8)
         warped.append(warp(corr, exemplar).data.tobytes())
         warped.append(warp(per_site, exemplar).data.tobytes())
         assert warped[1:] == warped[:1] * 3
