@@ -153,6 +153,15 @@ class TestCycle:
         for side, k, d in ((1, 4, 1), (2, 3, 5), (4, 1, 3), (4, 6, 2)):
             corr, exemplar = _sparse(rng, 8, 12, d, side=side, k=k, tau=0.1)
             assert cycle_loss(corr, exemplar) == _cycle_add_at(corr, exemplar)
+        # about 256 links of log-uniform weight on each of 8 exemplar sites;
+        # a constant exemplar leaves only rounding in the loss, so the order
+        # of the additions shows in it
+        weights = (10.0 ** rng.uniform(-6, 0, (64, 32))).astype(np.float32)
+        weights /= weights.sum(axis=1, keepdims=True)
+        links = rng.integers(0, 8, (64, 32)).astype(np.int32)
+        corr = SparseCorrespondence(BlockPartition(8, 8, 1), 8, weights, links)
+        exemplar = FeatureGrid(np.full((2, 4, 3), 0.7, dtype=np.float32))
+        assert cycle_loss(corr, exemplar) == _cycle_add_at(corr, exemplar)
 
     def test_unreferenced_features_reconstruct_to_zero(self):
         # both queries link to feature 0 only; features 1..3 should cost
