@@ -46,9 +46,6 @@ EXIT_IO = 3
 EXIT_VALIDATION = 4
 EXIT_CHECK = 5
 
-# worker count behind --parallel; any count gives bit-identical outputs
-_PARALLEL_WORKERS = 4
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -269,10 +266,8 @@ def cmd_warp(args) -> int:
 
     part, q_blocks = partition_blocks(query, args.block_side)
     _, e_blocks = partition_blocks(target, args.block_side)
-    workers = _PARALLEL_WORKERS if args.parallel else 0
     ranking = rank_blocks(
-        q_blocks, e_blocks, args.k, lam=args.lam, iters=args.max_iters,
-        tol=args.tolerance, workers=workers,
+        q_blocks, e_blocks, args.k, lam=args.lam, iters=args.max_iters, tol=args.tolerance,
     )
     corr = block_attention(part, query, target, ranking, args.tau)
     warped = warp(corr, exem)  # warp carries the original exemplar features
@@ -377,7 +372,6 @@ def cmd_bench(args) -> int:
     records = run_bench(
         args.sizes, block_area=args.block_side * args.block_side, k=args.k,
         tau=args.tau, lam=args.lam, repetitions=args.repetitions, seed=args.seed,
-        workers=_PARALLEL_WORKERS if args.parallel else 0,
     )
     text = render_csv(records)
     if args.out is None:
@@ -420,7 +414,6 @@ def _parser() -> argparse.ArgumentParser:
     warp_p.add_argument("--block-side", type=_positive_int, default=_DEFAULTS.block_side)
     warp_p.add_argument("--tau", type=_positive_float, default=_DEFAULTS.tau)
     warp_p.add_argument("--spe-weight", type=_finite_float, default=_DEFAULTS.spe_weight)
-    warp_p.add_argument("--parallel", action="store_true")
     _add_solver_flags(warp_p, ("cap on Newton steps per problem", "stop at |sum(gamma) - k| <= this"))
     warp_p.set_defaults(func=cmd_warp)
 
@@ -458,7 +451,6 @@ def _parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--repetitions", type=_positive_int, default=1)
     bench_p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
     bench_p.add_argument("--out", default=None)
-    bench_p.add_argument("--parallel", action="store_true")
     _add_solver_flags(bench_p)
     bench_p.set_defaults(func=cmd_bench)
     return parser

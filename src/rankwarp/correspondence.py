@@ -19,6 +19,7 @@ stay soft, so gradients flow through the ranking level.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ import numpy as np
 from .tensors import FeatureGrid, ValidationError, unit_rows
 from .topk import dual_gamma
 
-# chunk of query blocks ranked per solver sweep; bounds peak memory at
+# query blocks in flight across all ranking threads; bounds peak memory at
 # O(chunk * N) while the full score matrix would be O(N^2)
 _CHUNK = 256
 # bytes of a tile's largest float64 work array (gathered exemplar rows, the
@@ -124,6 +125,13 @@ def _rank_chunk(qn, en, k, lam, iters, tol):
     return cand, g, scores.max(axis=1), used, errs
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def rank_blocks(
     query: BlockFeatures,
     exemplar: BlockFeatures,
@@ -131,7 +139,6 @@ def rank_blocks(
     lam: float = 50.0,
     iters: int = 100,
     tol: float = 1e-6,
-    workers: int = 0,
 ) -> BlockRanking:
     """Retrieve the top-k exemplar blocks for every query block.
 
@@ -139,8 +146,8 @@ def rank_blocks(
     |sum(gamma) - k| <= ``tol`` in at most ``iters`` Newton steps by
     :func:`~rankwarp.topk.dual_gamma`.  Candidates are the k largest soft
     weights, ties toward the lower block index.
-    ``workers`` > 1 ranks chunks of query blocks in parallel; the output is
-    bit-identical at any worker count because chunks are independent.
+    Two or more chunks of query blocks rank on min(CPUs, chunks) threads;
+    rows are independent, so the output is bit-identical at any thread count.
     """
     if query.normalized.shape[1] != exemplar.normalized.shape[1]:
         raise ValidationError(
@@ -155,15 +162,18 @@ def rank_blocks(
     mx = np.empty(n_q)
     used = np.empty(n_q, dtype=int)
     errs = np.empty(n_q)
-    spans = [(c, min(c + _CHUNK, n_q)) for c in range(0, n_q, _CHUNK)]
+    # a pool costs more than it saves below two chunks; threads share one chunk's rows
+    threads = min(_cpus(), n_q // _CHUNK)
+    rows = -(-_CHUNK // max(threads, 1))
+    spans = [(c, min(c + rows, n_q)) for c in range(0, n_q, rows)]
 
     def run(span):
         c0, c1 = span
         out = _rank_chunk(query.normalized[c0:c1], exemplar.normalized, k, lam, iters, tol)
         cand[c0:c1], gam[c0:c1], mx[c0:c1], used[c0:c1], errs[c0:c1] = out
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    if threads >= 2:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run, spans))
     else:
         for span in spans:

@@ -150,16 +150,13 @@ def run_bench(
     lam: float = 50.0,
     repetitions: int = 1,
     seed: int = 0,
-    workers: int = 0,
 ) -> list[BenchRecord]:
     """Benchmark dense and ranked correspondence construction per grid size.
 
     Feature grids are seeded uniform random in [-1, 1], so every run sees the
     same inputs.  A dense-baseline allocation failure is recorded as a zeroed
-    row rather than aborting the sweep.  ``workers`` > 1 ranks query blocks
-    in parallel; entry counts are identical in both modes.  ``repetitions``
-    = 0 skips the timed builds and leaves ``ms`` NaN; peaks and counts are
-    unchanged.
+    row rather than aborting the sweep.  ``repetitions`` = 0 skips the timed
+    builds and leaves ``ms`` NaN; peaks and counts are unchanged.
     """
     side = math.isqrt(block_area)
     if side * side != block_area:
@@ -182,7 +179,7 @@ def run_bench(
         def build_ras():
             part, q_blocks = partition_blocks(cond, side)
             _, e_blocks = partition_blocks(exem, side)
-            ranking = rank_blocks(q_blocks, e_blocks, k, lam=lam, workers=workers)
+            ranking = rank_blocks(q_blocks, e_blocks, k, lam=lam)
             return ranking, block_attention(part, cond, exem, ranking, tau)
 
         (ranking, ras), ras_peak, ras_ms = _traced(build_ras, repetitions)

@@ -357,7 +357,7 @@ def test_09_confidence_fusion_algebra(capsys):
     assert multi_ok
 
 
-def test_10_reruns_are_byte_identical(capsys, tmp_path):
+def test_10_reruns_are_byte_identical(capsys, tmp_path, ranking_cpus):
     rng = np.random.default_rng(9)
     cond_path = tmp_path / "cond.ftn"
     exem_path = tmp_path / "exem.ftn"
@@ -366,11 +366,10 @@ def test_10_reruns_are_byte_identical(capsys, tmp_path):
 
     outputs = ("warped.ftn", "cmap.ftn", "correspondence.csv")
 
+    # the parallel legs rank on two threads (chunks of 16 query blocks), the others serially
     def run_warp(out_dir, parallel):
-        argv = ["warp", str(cond_path), str(exem_path), "--out-dir", str(out_dir)]
-        if parallel:
-            argv.append("--parallel")
-        assert main(argv) == 0
+        ranking_cpus(2 if parallel else 1)
+        assert main(["warp", str(cond_path), str(exem_path), "--out-dir", str(out_dir)]) == 0
         return [(out_dir / name).read_bytes() for name in outputs]
 
     first = run_warp(tmp_path / "a", False)
@@ -380,10 +379,8 @@ def test_10_reruns_are_byte_identical(capsys, tmp_path):
     )
 
     def run_bench_cli(out, parallel):
-        argv = ["bench", "--sizes", "16x16x8,32x32x8", "--out", str(out)]
-        if parallel:
-            argv.append("--parallel")
-        assert main(argv) == 0
+        ranking_cpus(2 if parallel else 1)
+        assert main(["bench", "--sizes", "16x16x8,32x32x8", "--out", str(out)]) == 0
         rows = out.read_text().splitlines()
         # wall time and traced peak are the two physical, non-reproducible
         # columns; every content column must come back identical

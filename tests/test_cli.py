@@ -178,15 +178,26 @@ class TestWarpCommand:
             })
         assert outputs[0] == outputs[1]
 
-    def test_parallel_matches_serial_bytes(self, tmp_path):
+    def test_parallel_matches_serial_bytes(self, tmp_path, ranking_cpus):
         rng = np.random.default_rng(158)
         cond = _write_grid(tmp_path / "cond.ftn", _random_grid(rng, 16, 16, 4))
         exem = _write_grid(tmp_path / "exem.ftn", _random_grid(rng, 16, 16, 4))
         serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        ranking_cpus(1)
         assert main(["warp", cond, exem, "--out-dir", str(serial)]) == 0
-        assert main(["warp", cond, exem, "--out-dir", str(parallel), "--parallel"]) == 0
+        ranking_cpus(2)
+        assert main(["warp", cond, exem, "--out-dir", str(parallel)]) == 0
         for f in ("warped.ftn", "cmap.ftn", "correspondence.csv"):
             assert (serial / f).read_bytes() == (parallel / f).read_bytes()
+
+    def test_parallel_flag_is_a_usage_error(self, tmp_path):
+        # ranking picks its threads from the grid, so neither command takes a flag for them
+        rng = np.random.default_rng(159)
+        cond = _write_grid(tmp_path / "cond.ftn", _random_grid(rng, 4, 4, 2))
+        for argv in (["warp", cond, cond, "--parallel"], ["bench", "--sizes", "8x8x2", "--parallel"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
 
 def _legacy_csv(corr):

@@ -1,6 +1,7 @@
 """Block partitioning, retrieval, sparse attention, and warping."""
 
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,10 +25,10 @@ def _grid(rng, h, w, d):
     return FeatureGrid(rng.standard_normal((h, w, d)).astype(np.float32))
 
 
-def _pipeline(query, exemplar, side, k, tau, lam=50.0, iters=100, workers=0):
+def _pipeline(query, exemplar, side, k, tau, lam=50.0, iters=100):
     part, qf = partition_blocks(query, side)
     _, ef = partition_blocks(exemplar, side)
-    ranking = rank_blocks(qf, ef, k, lam=lam, iters=iters, workers=workers)
+    ranking = rank_blocks(qf, ef, k, lam=lam, iters=iters)
     return ranking, block_attention(part, query, exemplar, ranking, tau)
 
 
@@ -112,15 +113,73 @@ class TestRanking:
         assert np.array_equal(ranking.candidates, np.tile(np.arange(4), (4, 1)))
         assert np.array_equal(ranking.gammas, np.ones((4, 4)))
 
-    def test_worker_count_does_not_change_output(self):
+    def test_worker_count_does_not_change_output(self, ranking_cpus):
         rng = np.random.default_rng(44)
         _, qf = partition_blocks(_grid(rng, 16, 16, 4), 2)
         _, ef = partition_blocks(_grid(rng, 16, 16, 4), 2)
+        ranking_cpus(1)
         base = rank_blocks(qf, ef, k=3)
-        par = rank_blocks(qf, ef, k=3, workers=4)
+        ranking_cpus(2)
+        par = rank_blocks(qf, ef, k=3)
         assert base.candidates.tobytes() == par.candidates.tobytes()
         assert base.gammas.tobytes() == par.gammas.tobytes()
         assert base.max_scores.tobytes() == par.max_scores.tobytes()
+
+    def test_chunk_size_does_not_change_output(self, monkeypatch):
+        # 576 query blocks: 37-row chunks on two threads (19 rows each),
+        # 256-row chunks on two threads (128 rows each), and one serial chunk
+        rng = np.random.default_rng(47)
+        _, qf = partition_blocks(_grid(rng, 48, 48, 3), 2)
+        _, ef = partition_blocks(_grid(rng, 48, 48, 3), 2)
+        monkeypatch.setattr(correspondence, "_cpus", lambda: 2)
+        fields = ("candidates", "gammas", "max_scores", "iterations", "marginal_errors")
+        outputs = []
+        for chunk in (37, 256, 1000):
+            monkeypatch.setattr(correspondence, "_CHUNK", chunk)
+            ranking = rank_blocks(qf, ef, k=3)
+            outputs.append([getattr(ranking, f).tobytes() for f in fields])
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_no_pool_below_two_chunks(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was created")
+
+        monkeypatch.setattr(correspondence, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(correspondence, "_cpus", lambda: 64)
+        blocks = 2 * correspondence._CHUNK - 1
+        _, feats = partition_blocks(_grid(np.random.default_rng(48), 1, blocks, 2), 1)
+        assert rank_blocks(feats, feats, k=2).candidates.shape == (blocks, 2)
+
+    def test_pool_takes_one_thread_per_cpu_from_two_chunks(self, monkeypatch):
+        sizes = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(correspondence, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(correspondence, "_cpus", lambda: 2)
+        _, feats = partition_blocks(_grid(np.random.default_rng(49), 2, correspondence._CHUNK, 2), 1)
+        rank_blocks(feats, feats, k=2)
+        assert sizes == [2]
+
+    def test_threads_keep_the_serial_peak(self, monkeypatch):
+        # 1024 query blocks at b=4: two threads share one chunk's rows, so the
+        # traced peak, and check 4's slope, stay at the serial figure
+        rng = np.random.default_rng(50)
+        _, qf = partition_blocks(_grid(rng, 64, 64, 8), 2)
+        _, ef = partition_blocks(_grid(rng, 64, 64, 8), 2)
+        peaks = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(correspondence, "_cpus", lambda: cpus)
+            tracemalloc.start()
+            try:
+                rank_blocks(qf, ef, k=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
     def test_k_out_of_range(self):
         rng = np.random.default_rng(45)

@@ -210,10 +210,12 @@ class TestBench:
         b = run_bench([(8, 8, 3)], block_area=4, k=2)
         assert [key(r) for r in a] == [key(r) for r in b]
 
-    def test_parallel_mode_identical_counts_and_gap(self):
+    def test_parallel_mode_identical_counts_and_gap(self, ranking_cpus):
         key = lambda r: (r.method, r.entries, r.ranking_scores, r.warp_l1)
-        serial = run_bench([(16, 16, 2)], block_area=4, k=2, workers=0)
-        parallel = run_bench([(16, 16, 2)], block_area=4, k=2, workers=4)
+        ranking_cpus(1)
+        serial = run_bench([(16, 16, 2)], block_area=4, k=2)
+        ranking_cpus(2)
+        parallel = run_bench([(16, 16, 2)], block_area=4, k=2)
         assert [key(r) for r in serial] == [key(r) for r in parallel]
 
     def test_dense_reference_gap_is_zero_for_itself(self):
