@@ -15,10 +15,13 @@ import argparse
 import math
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import correspondence
 from .correspondence import SparseCorrespondence, block_attention, partition_blocks, rank_blocks, warp
 from .fusion import ConfidenceMap, MultiChannelMap, confidence_map, fuse, fuse_multichannel
 from .metrics import render_csv, run_bench
@@ -99,11 +102,10 @@ def _read_mask(path: str) -> LabelMask:
     return mask
 
 
-# CSV entries formatted per chunk; bounds the writer's peak at O(chunk) and
-# keeps a chunk's line matrix (40 bytes a line for 4-digit indices) in cache
+# CSV entries formatted per chunk; bounds the writer's peak at O(chunk) beside
+# the links' exemplar fields, and keeps a chunk's line matrix (40 bytes a line
+# for 4-digit indices) in cache
 _CSV_CHUNK_ENTRIES = 1 << 14
-# 10**k is exact in float64 up to k = 22, so w * 10**(8 - X) is rounded once
-_POW10 = 10.0 ** np.arange(23)
 
 # The CSV is built as a row-major byte matrix, one line per row, whose fields
 # sit at fixed columns with NUL padding; dropping every NUL byte leaves the
@@ -141,17 +143,21 @@ _GROUPS, _STRIPPED = _QUADS[:3], _QUADS[3]
 # first four fraction digits: zero-padded, or stripped when the last four are 0
 _FRAC_HIGH = _QUADS[2:].reshape(-1)
 # a weight w in [1e-14, 1) prints as head, 8 fraction digits and tail; with
-# X = floor(log10 w), the tail is indexed by X and the head by (X, first
-# digit, fraction is 0): "0." and -X-1 zeros then the digit for X >= -4,
-# else "d." (or "d" before an empty fraction) and "e-XX"
+# X = floor(log10 w), both are indexed by (X, first digit, fraction is 0):
+# the head is "0." and -X-1 zeros then the digit for X >= -4, else "d." (or
+# "d" before an empty fraction), and the tail "e-XX" for X < -4
 _EXPONENTS = range(-14, 0)
 _HEADS = np.frombuffer(b"".join(
     (f",0.{'0' * (-x - 1)}{d}" if x >= -4 else f",{d}{'' if zero else '.'}").encode().rjust(8, b"\0")
     for x in _EXPONENTS for d in range(10) for zero in (False, True)
 ), np.uint64)
 _TAILS = np.frombuffer(b"".join(
-    ("\n" if x >= -4 else f"e-{-x:02d}\n").encode().ljust(8, b"\0") for x in _EXPONENTS
+    ("\n" if x >= -4 else f"e-{-x:02d}\n").encode().ljust(8, b"\0")
+    for x in _EXPONENTS for d in range(10) for zero in (False, True)
 ), np.uint64)
+# 10**(8 - X) by X - _EXPONENTS[0]; each is exact in float64, so w * 10**(8 - X)
+# is rounded once
+_SCALES = 10.0 ** (8 - np.array(_EXPONENTS))
 
 
 def _digit_groups(slots: np.ndarray, values: np.ndarray) -> None:
@@ -172,36 +178,65 @@ def _weight_words(words: np.ndarray, w: np.ndarray) -> None:
     one rounding error of at most 2**-53 relative, far inside the 1e-6 guard
     around halfway cases.  Zero, values outside that range and near-halfway
     rows go through Python's own formatter, so every row matches it byte for
-    byte.
+    byte.  The arithmetic runs in place, in float64 and then intp.
     """
     w64 = w.astype(np.float64)
-    plain = (w64 >= 1e-14) & (w64 < 1.0)
-    exp = np.floor(np.log10(np.where(plain, w64, 1e-8))).astype(np.int64)
-    scaled = w64 * _POW10[np.clip(8 - exp, 0, 22)]
+    plain = w64 >= 1e-14
+    plain &= w64 < 1.0
+    np.putmask(w64, ~plain, 1e-8)  # keeps every product finite
+    exp = np.log10(w64)
+    np.floor(exp, out=exp)
+    x = exp.astype(np.intp)
+    x -= _EXPONENTS[0]
+    np.clip(x, 0, len(_EXPONENTS) - 1, out=x)
+    scaled = np.take(_SCALES, x)
+    scaled *= w64
     mant = np.rint(scaled)
     # a mantissa outside [1e8, 1e9) means log10 or the rounding crossed a
     # power of ten; such rows and near-halfway rows fall back
-    plain &= (mant >= 1e8) & (mant < 1e9) & (np.abs(scaled - np.floor(scaled) - 0.5) > 1e-6)
-    lead, frac = np.divmod(np.where(plain, mant, 1e8).astype(np.int64), 10**8)
-    high, low = np.divmod(frac, 10**4)
-    x = np.clip(exp, _EXPONENTS[0], _EXPONENTS[-1]) - _EXPONENTS[0]
-    words[:, 0] = _HEADS[(x * 10 + lead) * 2 + (frac == 0)]
+    scaled -= mant
+    np.abs(scaled, out=scaled)
+    plain &= scaled < 0.5 - 1e-6
+    plain &= mant >= 1e8
+    plain &= mant < 1e9
+    np.putmask(mant, ~plain, 1e8)
+    frac = mant.astype(np.intp)
+    lead = frac // 10**8
+    frac -= lead * 10**8
+    high = frac // 10**4
+    low = frac - high * 10**4
+    # the (X, first digit, fraction is 0) index of head and tail
+    x *= 20
+    x += lead
+    x += lead
+    x += frac == 0
+    words[:, 0] = np.take(_HEADS, x)
+    words[:, 2] = np.take(_TAILS, x)
+    high += (low == 0) * 10**4
     fraction = words[:, 1:2].view(np.uint32)
-    fraction[:, 0] = _FRAC_HIGH[high + 10**4 * (low == 0)]
-    fraction[:, 1] = _STRIPPED[low]
-    words[:, 2] = _TAILS[x]
+    fraction[:, 0] = np.take(_FRAC_HIGH, high)
+    fraction[:, 1] = np.take(_STRIPPED, low)
     fallback = np.flatnonzero(~plain)
     if fallback.size:  # a float32 prints in at most 15 bytes
         text = b"".join(f",{float(v):.9g}\n".encode().ljust(24, b"\0") for v in w[fallback])
         words[fallback] = np.frombuffer(text, np.uint64).reshape(-1, 3)
 
 
+def _emit(fh, lines: np.ndarray) -> None:
+    """Drop the NUL bytes of a line matrix and write the text."""
+    text = lines.view(np.uint8).reshape(-1)
+    fh.write(text[text != 0])
+
+
 def _write_correspondence_csv(path: str, corr: SparseCorrespondence) -> None:
     """Write the ``q,e,w`` lines of a ranked correspondence, w as ``%.9g`` of the float32 weight.
 
-    Each chunk of whole query rows becomes one line matrix, whose NUL bytes
-    are dropped before it is written in one call.  A row's exemplar indices
-    are its block's links.
+    Each chunk of whole query rows is formatted into a line matrix, then
+    emitted: its NUL bytes are dropped and the text written in one call.  A
+    row's exemplar indices are its block's links.  With two or more CPUs and
+    chunks, one worker thread emits chunk i, first in first out, while this
+    thread formats chunk i + 1 into the other of two buffers; the NUL drop
+    and the write release the GIL.  Otherwise the emits run inline.
     """
     sites, m = corr.weights.shape
     blocks = corr.site_blocks()
@@ -212,28 +247,54 @@ def _write_correspondence_csv(path: str, corr: SparseCorrespondence) -> None:
     pad = -(4 * (q_groups + e_groups) + 1) % 8
     e0 = (pad + 4 * q_groups + 1) // 4  # first exemplar slot
     w0 = (e0 + e_groups) // 2  # first weight word
+    # the sites of a block share its links, so each block's exemplar fields
+    # are formatted once
+    exemplar = np.empty((corr.links.size, e_groups), dtype=np.uint32)
+    _digit_groups(exemplar, corr.links.reshape(-1))
+    exemplar = exemplar.reshape(*corr.links.shape, e_groups)
     rows_per_chunk = max(1, _CSV_CHUNK_ENTRIES // m)
-    # one buffer for every chunk: fresh pages would be faulted in each time
-    buffer = np.empty((min(rows_per_chunk, sites) * m, w0 + 3), dtype=np.uint64)
-    with open(path, "wb") as fh:
+    starts = range(0, sites, rows_per_chunk)
+    threaded = correspondence._cpus() >= 2 and len(starts) >= 2
+    # a buffer is formatted again only once its emit has finished; reusing
+    # them spares faulting in fresh pages for every chunk
+    buffers = [
+        np.empty((min(rows_per_chunk, sites) * m, w0 + 3), dtype=np.uint64)
+        for _ in range(1 + threaded)
+    ]
+
+    def format_chunk(lines: np.ndarray, r0: int, r1: int) -> np.ndarray:
+        lines = lines[: (r1 - r0) * m]
+        slots = lines.view(np.uint32)
+        # the padded query and its comma, once per row, then on its m lines
+        query = np.zeros((r1 - r0, e0), dtype=np.uint32)
+        digits = np.empty((r1 - r0, q_groups), dtype=np.uint32)
+        _digit_groups(digits, np.arange(r0, r1))
+        query_bytes = query.view(np.uint8)
+        query_bytes[:, pad : pad + 4 * q_groups] = digits.view(np.uint8)
+        query_bytes[:, -1] = ord(",")
+        for j in range(e0):
+            slots[:, j].reshape(r1 - r0, m)[:] = query[:, j : j + 1]
+        slots[:, e0 : 2 * w0].reshape(r1 - r0, m, e_groups)[:] = exemplar[blocks[r0:r1]]
+        _weight_words(lines[:, w0:], corr.weights[r0:r1].reshape(-1))
+        return lines
+
+    # leaving the pool's block joins the worker, also on an error, before
+    # the file closes
+    with open(path, "wb") as fh, (
+        ThreadPoolExecutor(max_workers=1) if threaded else nullcontext()
+    ) as pool:
         fh.write(b"query_index,exemplar_index,weight\n")
-        for r0 in range(0, sites, rows_per_chunk):
-            r1 = min(r0 + rows_per_chunk, sites)
-            lines = buffer[: (r1 - r0) * m]
-            slots = lines.view(np.uint32)
-            # the padded query and its comma, once per row, then on its m lines
-            query = np.zeros((r1 - r0, e0), dtype=np.uint32)
-            digits = np.empty((r1 - r0, q_groups), dtype=np.uint32)
-            _digit_groups(digits, np.arange(r0, r1))
-            query_bytes = query.view(np.uint8)
-            query_bytes[:, pad : pad + 4 * q_groups] = digits.view(np.uint8)
-            query_bytes[:, -1] = ord(",")
-            for j in range(e0):
-                slots[:, j].reshape(r1 - r0, m)[:] = query[:, j : j + 1]
-            _digit_groups(slots[:, e0 : 2 * w0], corr.links[blocks[r0:r1]].reshape(-1))
-            _weight_words(lines[:, w0:], corr.weights[r0:r1].reshape(-1))
-            text = lines.view(np.uint8).reshape(-1)
-            fh.write(text[text != 0])
+        pending = []
+        for i, r0 in enumerate(starts):
+            if len(pending) == len(buffers):
+                pending.pop(0).result()
+            lines = format_chunk(buffers[i % len(buffers)], r0, min(r0 + rows_per_chunk, sites))
+            if pool is None:
+                _emit(fh, lines)
+            else:
+                pending.append(pool.submit(_emit, fh, lines))
+        for done in pending:
+            done.result()
 
 
 def cmd_warp(args) -> int:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correspondence import (
-    SparseCorrespondence, block_attention, partition_blocks, rank_blocks, warp,
+    _TILE_BYTES, SparseCorrespondence, block_attention, partition_blocks, rank_blocks, warp,
 )
 from .tensors import FeatureGrid, ValidationError, unit_rows
 
@@ -73,13 +73,22 @@ def cycle_loss(correspondence: SparseCorrespondence, exemplar: FeatureGrid) -> f
     warped = warp(correspondence, exemplar).vectors.astype(np.float64)
     z = exemplar.vectors.astype(np.float64)
     l_e, d = z.shape
-    w = correspondence.weights.astype(np.float64)
-    idx = correspondence.indices.reshape(-1)
-    # the transposed scatter: bincount adds each exemplar's links in entry order
-    mass = np.bincount(idx, weights=w.reshape(-1), minlength=l_e)
-    num = np.empty((l_e, d))
-    for c in range(d):
-        num[:, c] = np.bincount(idx, weights=(w * warped[:, c, None]).reshape(-1), minlength=l_e)
+    links = correspondence.links
+    sites_of = correspondence.partition.feature_indices()  # (N_q, b)
+    mass = np.zeros(l_e)
+    num = np.zeros((l_e, d))
+    # the transposed scatter runs per query block, whose sites share its
+    # links: the block's weight column sums go to the mass and W_g' @ warped_g
+    # to the numerator, a tile of blocks per bincount
+    step = max(1, _TILE_BYTES // (links.shape[1] * max(d, sites_of.shape[1]) * 8))
+    for g0 in range(0, links.shape[0], step):
+        rows = sites_of[g0 : g0 + step]
+        w = correspondence.weights[rows].astype(np.float64)  # (t, b, m)
+        idx = links[g0 : g0 + step].reshape(-1)
+        mass += np.bincount(idx, weights=w.sum(axis=1).reshape(-1), minlength=l_e)
+        prod = np.matmul(w.transpose(0, 2, 1), warped[rows])  # (t, m, d)
+        for c in range(d):
+            num[:, c] += np.bincount(idx, weights=prod[:, :, c].reshape(-1), minlength=l_e)
     recon = np.divide(num, mass[:, None], out=np.zeros_like(num), where=mass[:, None] > 0)
     return float(np.abs(recon - z).mean())
 

@@ -1,17 +1,20 @@
 """End-to-end command-line behavior, exit codes, and output determinism."""
 
+import errno
 import os
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rankwarp
-from rankwarp import cli
+from rankwarp import cli, correspondence
 from rankwarp.cli import _write_correspondence_csv, main
 from rankwarp.correspondence import BlockPartition, SparseCorrespondence
 from rankwarp.posenc import vanilla_pe
@@ -190,6 +193,19 @@ class TestWarpCommand:
         for f in ("warped.ftn", "cmap.ftn", "correspondence.csv"):
             assert (serial / f).read_bytes() == (parallel / f).read_bytes()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_failing_csv_write_exits_3(self, tmp_path, ranking_cpus):
+        # the CSV goes to a device whose every write fails, from the writer thread
+        rng = np.random.default_rng(160)
+        cond = _write_grid(tmp_path / "cond.ftn", _random_grid(rng, 16, 16, 4))
+        out = tmp_path / "out"
+        out.mkdir()
+        os.symlink("/dev/full", out / "correspondence.csv")
+        ranking_cpus(2)
+        threads = threading.active_count()
+        assert main(["warp", cond, cond, "--out-dir", str(out)]) == 3
+        assert threading.active_count() == threads
+
     def test_parallel_flag_is_a_usage_error(self, tmp_path):
         # ranking picks its threads from the grid, so neither command takes a flag for them
         rng = np.random.default_rng(159)
@@ -233,14 +249,19 @@ def _table_bytes(table):
     return [table[i : i + 1].tobytes() for i in range(table.size)]
 
 
+def _row_correspondence(weights, exemplar_sites, rng, width):
+    """A per-site correspondence over one row of sites, with random links."""
+    rows = weights.size // width
+    weights = weights[: rows * width].reshape(rows, width)
+    indices = rng.integers(0, exemplar_sites, weights.shape).astype(np.int32)
+    indices[0, 0], indices[-1, -1] = 0, exemplar_sites - 1
+    return SparseCorrespondence(BlockPartition(1, rows, 1), exemplar_sites, weights, indices)
+
+
 class TestCorrespondenceCsv:
     @staticmethod
     def _assert_matches_oracle(tmp_path, weights, exemplar_sites, rng, width):
-        rows = weights.size // width
-        weights = weights[: rows * width].reshape(rows, width)
-        indices = rng.integers(0, exemplar_sites, weights.shape).astype(np.int32)
-        indices[0, 0], indices[-1, -1] = 0, exemplar_sites - 1
-        corr = SparseCorrespondence(BlockPartition(1, rows, 1), exemplar_sites, weights, indices)
+        corr = _row_correspondence(weights, exemplar_sites, rng, width)
         path = tmp_path / "corr.csv"
         _write_correspondence_csv(str(path), corr)
         assert path.read_bytes() == _legacy_csv(corr)
@@ -297,6 +318,60 @@ class TestCorrespondenceCsv:
         rows = 2 * (cli._CSV_CHUNK_ENTRIES // width) + 13
         weights = (10.0 ** rng.uniform(-9, 0, rows * width)).astype(np.float32)
         self._assert_matches_oracle(tmp_path, weights, 4099, rng, width=width)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_chunks_serial_and_threaded(self, tmp_path, monkeypatch, cpus):
+        # 10009 query sites (two digit groups) in 31 chunks of 333 rows, the
+        # last one ragged; with 2 CPUs a worker thread emits them
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ENTRIES", 1000)
+        monkeypatch.setattr(correspondence, "_cpus", lambda: cpus)
+        rng = np.random.default_rng(186)
+        weights = (10.0 ** rng.uniform(-16, 0, 10009 * 3)).astype(np.float32)
+        self._assert_matches_oracle(tmp_path, weights, 123457, rng, width=3)
+
+    def test_writer_thread_needs_two_cpus_and_two_chunks(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(187)
+        weights = (10.0 ** rng.uniform(-9, 0, 200 * 5)).astype(np.float32)
+        corr = _row_correspondence(weights, 4099, rng, width=5)
+        path = tmp_path / "corr.csv"
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the writer built a thread pool")
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+        # one CPU and 20 chunks, then 64 CPUs and one chunk
+        for cpus, entries in ((1, 50), (64, 1000)):
+            monkeypatch.setattr(correspondence, "_cpus", lambda: cpus)
+            monkeypatch.setattr(cli, "_CSV_CHUNK_ENTRIES", entries)
+            _write_correspondence_csv(str(path), corr)
+            assert path.read_bytes() == _legacy_csv(corr)
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(correspondence, "_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ENTRIES", 500)  # two chunks
+        _write_correspondence_csv(str(path), corr)
+        assert path.read_bytes() == _legacy_csv(corr)
+        assert pools == [1]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_write_failure_raises_and_joins_the_writer(self, monkeypatch, cpus):
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ENTRIES", 1000)
+        monkeypatch.setattr(correspondence, "_cpus", lambda: cpus)
+        rng = np.random.default_rng(188)
+        weights = (10.0 ** rng.uniform(-9, 0, 3000 * 3)).astype(np.float32)
+        corr = _row_correspondence(weights, 4099, rng, width=3)  # 9 chunks
+        threads = threading.active_count()
+        with pytest.raises(OSError) as exc:
+            _write_correspondence_csv("/dev/full", corr)
+        assert exc.value.errno == errno.ENOSPC
+        assert threading.active_count() == threads
 
     def test_warp_command_csv_matches_oracle(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(185)

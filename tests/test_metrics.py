@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rankwarp import metrics
 from rankwarp.correspondence import (
     BlockPartition,
     SparseCorrespondence,
@@ -146,13 +147,16 @@ class TestCycle:
         )
         assert abs(base - permuted) < 1e-12
 
-    def test_bincount_equals_add_at_formula(self):
-        # bincount adds each exemplar's links in the order add.at does, so
-        # the loss is the same float, also where some features go unreferenced
+    def test_bincount_equals_add_at_formula(self, monkeypatch):
+        # over 1x1 blocks in one tile, bincount adds each exemplar's links in
+        # the order add.at does, so the loss is the same float; larger blocks
+        # add their column sums first, and tiles their partial sums, which
+        # moves only the rounding; also where some features go unreferenced
         rng = np.random.default_rng(145)
-        for side, k, d in ((1, 4, 1), (2, 3, 5), (4, 1, 3), (4, 6, 2)):
-            corr, exemplar = _sparse(rng, 8, 12, d, side=side, k=k, tau=0.1)
-            assert cycle_loss(corr, exemplar) == _cycle_add_at(corr, exemplar)
+        cases = [
+            _sparse(rng, 8, 12, d, side=side, k=k, tau=0.1)
+            for side, k, d in ((1, 4, 1), (2, 3, 5), (4, 1, 3), (4, 6, 2))
+        ]
         # about 256 links of log-uniform weight on each of 8 exemplar sites;
         # a constant exemplar leaves only rounding in the loss, so the order
         # of the additions shows in it
@@ -160,8 +164,15 @@ class TestCycle:
         weights /= weights.sum(axis=1, keepdims=True)
         links = rng.integers(0, 8, (64, 32)).astype(np.int32)
         corr = SparseCorrespondence(BlockPartition(8, 8, 1), 8, weights, links)
-        exemplar = FeatureGrid(np.full((2, 4, 3), 0.7, dtype=np.float32))
-        assert cycle_loss(corr, exemplar) == _cycle_add_at(corr, exemplar)
+        cases.append((corr, FeatureGrid(np.full((2, 4, 3), 0.7, dtype=np.float32))))
+        for tile_bytes in (metrics._TILE_BYTES, 1):  # one tile, then a block per tile
+            monkeypatch.setattr(metrics, "_TILE_BYTES", tile_bytes)
+            for corr, exemplar in cases:
+                loss, formula = cycle_loss(corr, exemplar), _cycle_add_at(corr, exemplar)
+                if corr.partition.block_side == 1 and tile_bytes > 1:
+                    assert loss == formula
+                else:
+                    assert abs(loss - formula) <= 1e-12
 
     def test_unreferenced_features_reconstruct_to_zero(self):
         # both queries link to feature 0 only; features 1..3 should cost
