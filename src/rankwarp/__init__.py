@@ -2,9 +2,9 @@
 
 Feature grids are partitioned into blocks; each query block retrieves its
 top-k exemplar blocks through the exact dual of an entropy-regularized
-transport problem (a Sinkhorn solver with exact unrolled gradients is kept as
-the reference), dense attention runs inside the retrieved blocks only, and the
-resulting row-stochastic correspondence warps the exemplar.
+transport problem, whose gradient has a closed form (``dual_gamma_vjp``);
+dense attention runs inside the retrieved blocks only, and the resulting
+row-stochastic correspondence warps the exemplar.
 Semantic position encoding, confidence-weighted fusion, alignment metrics,
 and a memory benchmark round out the pipeline.
 """
@@ -46,17 +46,13 @@ from .tensors import (
     write_tensor,
 )
 from .topk import (
-    SinkhornTape,
     SoftSelection,
     TopKProblem,
-    TransportPlan,
-    build_cost,
     dual_gamma,
+    dual_gamma_vjp,
     finite_difference_gradient,
     hard_topk_oracle,
-    sinkhorn_solve,
     soft_topk,
-    soft_topk_backward,
 )
 
 __version__ = "0.1.0"

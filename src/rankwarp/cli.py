@@ -35,13 +35,7 @@ from .tensors import (
     read_tensor,
     write_tensor,
 )
-from .topk import (
-    TopKProblem,
-    finite_difference_gradient,
-    selection_from_tape,
-    sinkhorn_solve,
-    soft_topk_backward,
-)
+from .topk import EXACT_TOLERANCE, TopKProblem, dual_gamma_vjp, finite_difference_gradient, soft_topk
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -352,14 +346,15 @@ def cmd_topk(args) -> int:
     problem = TopKProblem(
         scores, k=args.k, lam=args.lam, max_iters=args.max_iters, tolerance=args.tolerance
     )
-    plan, tape = sinkhorn_solve(problem)
-    selection = selection_from_tape(problem, tape)
+    selection = soft_topk(problem)
     print("gamma: " + ",".join(f"{g:.6f}" for g in selection.gamma))
     print("selected: " + ",".join(str(i) for i in np.flatnonzero(selection.hard)))
-    if plan.marginal_error > problem.tolerance:
+    # a solve ends above the tolerance only by using every Newton step
+    error = abs(selection.gamma.sum() - problem.k)
+    if error > problem.tolerance:
         print(
-            f"warning: Sinkhorn stopped at --max-iters after {plan.iterations_used} steps "
-            f"with marginal error {plan.marginal_error:.1e} above --tolerance {problem.tolerance:g}",
+            f"warning: Newton solve stopped at --max-iters {problem.max_iters} "
+            f"with |sum(gamma) - k| = {error:.1e} above --tolerance {problem.tolerance:g}",
             file=sys.stderr,
         )
     return EXIT_OK
@@ -378,9 +373,8 @@ def cmd_gradcheck(args) -> int:
         problem = TopKProblem(
             scores, k=args.k, lam=args.lam, max_iters=args.max_iters, tolerance=args.tolerance
         )
-        _, tape = sinkhorn_solve(problem)
         upstream = rng.standard_normal(args.n)
-        grad = soft_topk_backward(tape, upstream)
+        grad = dual_gamma_vjp(soft_topk(problem).gamma, upstream, problem.lam)
         reference = finite_difference_gradient(problem, upstream, step=args.step)
         meaningful = np.abs(reference) > 1e-6
         if meaningful.any():
@@ -443,18 +437,14 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-# --max-iters and --tolerance help of topk and gradcheck, which run the Sinkhorn reference
-_SINKHORN_HELP = ("Sinkhorn step cap", "stop once every plan marginal is within half this")
-
-
-def _add_solver_flags(sub, solver_help: tuple[str, str] | None = None) -> None:
+def _add_solver_flags(sub, stop_flags: bool = True) -> None:
     sub.add_argument("--k", type=_positive_int, default=_DEFAULTS.k)
     sub.add_argument("--lambda", dest="lam", type=_positive_float, default=_DEFAULTS.lam)
-    if solver_help:  # bench runs the ranking solver at its defaults
+    if stop_flags:  # bench runs the solver at its defaults
         sub.add_argument("--max-iters", type=_positive_int, default=_DEFAULTS.max_iters,
-                         help=solver_help[0])
+                         help="cap on Newton steps per problem")
         sub.add_argument("--tolerance", type=_positive_float, default=_DEFAULTS.tolerance,
-                         help=solver_help[1])
+                         help="stop at |sum(gamma) - k| <= this")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -475,12 +465,12 @@ def _parser() -> argparse.ArgumentParser:
     warp_p.add_argument("--block-side", type=_positive_int, default=_DEFAULTS.block_side)
     warp_p.add_argument("--tau", type=_positive_float, default=_DEFAULTS.tau)
     warp_p.add_argument("--spe-weight", type=_finite_float, default=_DEFAULTS.spe_weight)
-    _add_solver_flags(warp_p, ("cap on Newton steps per problem", "stop at |sum(gamma) - k| <= this"))
+    _add_solver_flags(warp_p)
     warp_p.set_defaults(func=cmd_warp)
 
     topk_p = subs.add_parser("topk", help="soft top-k selection over a score list")
     topk_p.add_argument("--scores", required=True, help="comma-separated scores in [-1,1]")
-    _add_solver_flags(topk_p, _SINKHORN_HELP)
+    _add_solver_flags(topk_p)
     topk_p.set_defaults(func=cmd_topk)
 
     grad_p = subs.add_parser("gradcheck", help="verify solver gradients against finite differences")
@@ -488,8 +478,9 @@ def _parser() -> argparse.ArgumentParser:
     grad_p.add_argument("--trials", type=_positive_int, default=50)
     grad_p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
     grad_p.add_argument("--step", type=_positive_float, default=1e-4)
-    _add_solver_flags(grad_p, _SINKHORN_HELP)
-    grad_p.set_defaults(func=cmd_gradcheck, lam=20.0, max_iters=5000)
+    _add_solver_flags(grad_p)
+    # the gradient is the exact solution's, so gamma is solved as tightly as the differences
+    grad_p.set_defaults(func=cmd_gradcheck, lam=20.0, tolerance=EXACT_TOLERANCE)
 
     spe_p = subs.add_parser("spe", help="semantic position channels from a label mask")
     spe_p.add_argument("mask")
@@ -512,7 +503,7 @@ def _parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--repetitions", type=_positive_int, default=1)
     bench_p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
     bench_p.add_argument("--out", default=None)
-    _add_solver_flags(bench_p)
+    _add_solver_flags(bench_p, stop_flags=False)
     bench_p.set_defaults(func=cmd_bench)
     return parser
 

@@ -2,16 +2,13 @@
 
 Selecting the k largest of N correlation scores is cast as an earth mover's
 problem between the scores and the two-point support {-1, +1}: mass moved to
-+1 marks a score as selected.  Costs are squared distances, so the N x 2 cost
-matrix is C[i] = ((a_i + 1)^2, (a_i - 1)^2).  Row marginals are uniform 1/N;
-column marginals are ((N - k)/N, k/N).  Score i's soft selection weight is
-gamma_i = N * T[i, 1] for the entropic plan T, proportional to
-sigmoid(4 * lambda * a_i + t) for one dual gap t per problem.  Block ranking
-solves for t exactly by Newton steps (:func:`dual_gamma`).  The reference,
-:func:`sinkhorn_solve`, runs Sinkhorn scaling as the fixed-point iteration it
-reduces to on t and records every t; replaying that recursion in reverse gives
-the exact gradients of the truncated map actually computed, whether or not it
-converged.
++1 marks a score as selected.  Costs are squared distances to -1 and +1, row
+marginals 1/N and column marginals ((N - k)/N, k/N).  Score i's soft weight
+gamma_i = N * T[i, 1] of the entropic plan T is sigmoid(4 * lambda * a_i + t)
+for one dual gap t per problem.  :func:`dual_gamma` solves for t exactly and
+:func:`dual_gamma_vjp` differentiates the solution in closed form; every
+caller in the package runs this pair.  A Sinkhorn solver and its replayed
+backward remain for the benchmark's ``topk-grad`` workload alone.
 """
 
 from __future__ import annotations
@@ -23,11 +20,7 @@ import numpy as np
 
 from .tensors import ValidationError
 
-# stop slightly inside the requested tolerance so the float32 plan's marginal
-# sums still meet it after rounding
-_STOP_FACTOR = 0.5
-# entries of the step-by-score block the backward pass replays at once
-_BACKWARD_ENTRIES = 1 << 12
+EXACT_TOLERANCE = 1e-13  # |sum(gamma) - k| of the solves a gradient check takes as exact
 
 
 @dataclass(frozen=True)
@@ -64,15 +57,6 @@ class TopKProblem:
 
 
 @dataclass(frozen=True)
-class TransportPlan:
-    """Solved N x 2 plan with convergence diagnostics."""
-
-    plan: np.ndarray  # float32, nonnegative
-    iterations_used: int
-    marginal_error: float
-
-
-@dataclass(frozen=True)
 class SoftSelection:
     """Soft membership weights gamma_i = N * T[i, 1] plus the hard oracle set."""
 
@@ -80,9 +64,143 @@ class SoftSelection:
     hard: np.ndarray  # bool, exactly k True
 
 
+def hard_topk_oracle(scores: np.ndarray, k: int) -> np.ndarray:
+    """Boolean mask of the k largest scores, ties broken toward the lower index."""
+    a = np.asarray(scores).reshape(-1)
+    if not 1 <= k <= a.size:
+        raise ValidationError(f"k={k} out of range for N={a.size}")
+    mask = np.zeros(a.size, dtype=bool)
+    mask[np.argsort(-a, kind="stable")[:k]] = True
+    return mask
+
+
+def dual_gamma(
+    scores: np.ndarray, k: int | np.ndarray, lam: float, max_iters: int = 100, tolerance: float = 1e-6
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve B ranking problems (rows of ``scores``) exactly through their scalar dual.
+
+    Every plan row has mass 1/N, so gamma_i = sigmoid(4 * lam * a_i + t) with t
+    the root of sum(gamma) = k, found by Newton steps that bisect a bracket on
+    the root whenever they leave it.  Scores are clamped and rounded through
+    float32 as in :class:`TopKProblem`; ``k`` is shared or one count per row.
+    A row stops once |sum(gamma) - k| <= ``tolerance`` or after ``max_iters``
+    steps.  Returns gamma (B, N) float64, the Newton steps per row and the
+    final |sum(gamma) - k| per row.  The gradient needs only gamma:
+    see :func:`dual_gamma_vjp`.
+    """
+    raw = np.asarray(scores, dtype=np.float64)
+    if raw.ndim != 2:
+        raise ValidationError(f"scores must be (B, N), got shape {raw.shape}")
+    b, n = raw.shape
+    ks = np.asarray(k)
+    if ks.ndim == 1 and ks.shape != (b,):
+        raise ValidationError(f"per-problem k has shape {ks.shape}, expected ({b},)")
+    if ks.ndim > 1 or ks.min() < 1 or ks.max() > n:
+        raise ValidationError(f"k={k} out of range for N={n}")
+    if not (np.isfinite(lam) and lam > 0 and np.isfinite(tolerance) and tolerance > 0):
+        raise ValidationError("lambda and tolerance must be finite and positive")
+    if max_iters < 1:
+        raise ValidationError("max_iters must be positive")
+    gamma, iters, errors = np.ones((b, n)), np.zeros(b, dtype=int), np.zeros(b)
+    # k == N rows keep gamma = 1 exactly; the others have a finite root
+    rows = np.flatnonzero(np.broadcast_to(ks, (b,)) < n)
+    kk = np.broadcast_to(ks, (b,))[rows].astype(np.int64)
+    z = 4.0 * lam * np.clip(raw[rows], -1.0, 1.0).astype(np.float32).astype(np.float64)
+    # every logit is at most logit(k/N) at lo, so sum(gamma) <= k there; >= k at hi
+    lo = np.log(kk) - np.log(n - kk) - z.max(axis=1)
+    hi = np.log(kk) - np.log(n - kk) - z.min(axis=1)
+    active = np.arange(rows.size)
+    top = -np.sort(-z, axis=1)
+    t = np.clip(-0.5 * (top[active, kk - 1] + top[active, kk]), lo, hi)
+    for m in range(max_iters + 1):
+        # sigmoid as exp(-log(1 + e^-x)), which keeps tiny weights' relative precision
+        g = np.exp(-np.logaddexp(0.0, -(z[active] + t[active, None])))
+        excess = g.sum(axis=1) - kk[active]
+        gamma[rows[active]], errors[rows[active]] = g, np.abs(excess)
+        keep = np.abs(excess) > tolerance
+        if m == max_iters or not keep.any():
+            break
+        active, g, excess = active[keep], g[keep], excess[keep]
+        iters[rows[active]] = m + 1
+        lo[active[excess < 0]] = t[active[excess < 0]]
+        hi[active[excess > 0]] = t[active[excess > 0]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = t[active] - excess / (g * (1.0 - g)).sum(axis=1)
+        inside = (step > lo[active]) & (step < hi[active])
+        t[active] = np.where(inside, step, 0.5 * (lo[active] + hi[active]))
+    return gamma, iters, errors
+
+
+def dual_gamma_vjp(gamma: np.ndarray, upstream: np.ndarray, lam: float) -> np.ndarray:
+    """Gradient of a scalar loss with respect to the (clamped) scores, from gamma alone.
+
+    Implicit differentiation of sum(gamma) = k gives 4 * lam * (s * u - s *
+    (s . u) / sum(s)) for u = d loss / d gamma and s = gamma * (1 - gamma).
+    Rows lie along the last axis, as :func:`dual_gamma` returns them; no tape,
+    O(N) memory.
+    """
+    g = np.asarray(gamma, dtype=np.float64)
+    u = np.asarray(upstream, dtype=np.float64)
+    if u.shape != g.shape:
+        raise ValidationError(f"upstream has shape {u.shape}, gamma has {g.shape}")
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValidationError("lambda must be finite and positive")
+    s = g * (1.0 - g)
+    su = s * u
+    total = s.sum(axis=-1, keepdims=True)  # 0 only where s, and so s . u, is 0
+    return 4.0 * lam * (su - s * (su.sum(axis=-1, keepdims=True) / np.where(total > 0, total, 1.0)))
+
+
+def soft_topk(problem: TopKProblem) -> SoftSelection:
+    """Soft weights from :func:`dual_gamma` under the problem's knobs, with the hard oracle mask."""
+    gamma, _, _ = dual_gamma(
+        problem.scores[None], problem.k, problem.lam, problem.max_iters, problem.tolerance
+    )
+    return SoftSelection(gamma=gamma[0], hard=hard_topk_oracle(problem.scores, problem.k))
+
+
+def finite_difference_gradient(
+    problem: TopKProblem, upstream: np.ndarray, step: float = 1e-4
+) -> np.ndarray:
+    """Central-difference reference gradient for :func:`dual_gamma_vjp`.
+
+    All 2N perturbed rows are solved in one :func:`dual_gamma` call to
+    EXACT_TOLERANCE.  The divisor is the realized float32 score difference, not
+    the nominal step, which keeps the oracle accurate near the rounding floor.
+    """
+    n = problem.n
+    diag = np.arange(n)
+    rows = np.tile(problem.scores.astype(np.float64), (2 * n, 1))
+    rows[diag, diag] += step
+    rows[n + diag, diag] -= step
+    # the clamp and rounding of TopKProblem, so the divisor sees the scores solved
+    rows = np.clip(rows, -1.0, 1.0).astype(np.float32).astype(np.float64)
+    gamma, _, _ = dual_gamma(rows, problem.k, problem.lam, problem.max_iters, EXACT_TOLERANCE)
+    losses = gamma @ np.asarray(upstream, dtype=np.float64).reshape(-1)
+    denom = rows[diag, diag] - rows[n + diag, diag]
+    # a step too small to realize leaves both rows, and so both losses, equal
+    return (losses[:n] - losses[n:]) / np.where(denom == 0.0, 1.0, denom)
+
+
+# stop slightly inside the requested tolerance so the float32 plan's marginal
+# sums still meet it after rounding
+_STOP_FACTOR = 0.5
+# entries of the step-by-score block the backward pass replays at once
+_BACKWARD_ENTRIES = 1 << 12
+
+
+@dataclass(frozen=True)
+class TransportPlan:
+    """Solved N x 2 plan of :func:`sinkhorn_solve`, with convergence diagnostics."""
+
+    plan: np.ndarray  # float32, nonnegative
+    iterations_used: int
+    marginal_error: float
+
+
 @dataclass
 class SinkhornTape:
-    """Recorded dual gaps, sufficient to replay a solve forward or backward.
+    """Recorded dual gaps of :func:`sinkhorn_solve`, sufficient to replay it forward or backward.
 
     ``states[m]`` is the gap t before double-step m; ``states[-1]`` is the
     gap after the last step.  ``z`` holds the logits 4 * lam * a.  When
@@ -94,22 +212,6 @@ class SinkhornTape:
     lam: float
     z: np.ndarray
     states: list = field(default_factory=list)
-
-
-def build_cost(scores: np.ndarray) -> np.ndarray:
-    """Squared-distance cost to the supports -1 and +1; entries lie in [0, 4]."""
-    a = np.asarray(scores, dtype=np.float64)
-    return np.stack([(a + 1.0) ** 2, (a - 1.0) ** 2], axis=-1)
-
-
-def hard_topk_oracle(scores: np.ndarray, k: int) -> np.ndarray:
-    """Boolean mask of the k largest scores, ties broken toward the lower index."""
-    a = np.asarray(scores).reshape(-1)
-    if not 1 <= k <= a.size:
-        raise ValidationError(f"k={k} out of range for N={a.size}")
-    mask = np.zeros(a.size, dtype=bool)
-    mask[np.argsort(-a, kind="stable")[:k]] = True
-    return mask
 
 
 def _sigmoids(x: np.ndarray, top: int, bottom: int):
@@ -133,7 +235,7 @@ def _ends(z: np.ndarray) -> tuple[int, int]:
 
 
 def sinkhorn_solve(problem: TopKProblem) -> tuple[TransportPlan, SinkhornTape]:
-    """Solve the regularized transport problem by Sinkhorn iteration on the dual gap.
+    """Sinkhorn iteration on the dual gap, for the benchmark's ``topk-grad`` workload only.
 
     Each double-step scales the rows to 1/N and then the columns to their
     marginals, which on the two-point support moves only the gap, from t = 0:
@@ -177,7 +279,7 @@ def sinkhorn_solve(problem: TopKProblem) -> tuple[TransportPlan, SinkhornTape]:
 
 
 def selection_from_tape(problem: TopKProblem, tape: SinkhornTape) -> SoftSelection:
-    """Build the soft selection from a solve's last step (float64, not the float32 plan)."""
+    """Soft selection from a Sinkhorn tape's last step, for the ``topk-grad`` workload only."""
     if tape.k == tape.n:
         gamma = np.ones(tape.n)
     else:
@@ -186,14 +288,8 @@ def selection_from_tape(problem: TopKProblem, tape: SinkhornTape) -> SoftSelecti
     return SoftSelection(gamma=gamma, hard=hard_topk_oracle(problem.scores, problem.k))
 
 
-def soft_topk(problem: TopKProblem) -> SoftSelection:
-    """Solve and return soft selection weights alongside the hard oracle mask."""
-    _, tape = sinkhorn_solve(problem)
-    return selection_from_tape(problem, tape)
-
-
 def soft_topk_backward(tape: SinkhornTape, upstream: np.ndarray) -> np.ndarray:
-    """Gradient of a scalar loss with respect to the scores.
+    """Sinkhorn's gradient of a scalar loss in the scores, for the ``topk-grad`` workload only.
 
     Replays the recorded gap recursion in reverse: the last step maps x = z + t
     to gamma = k * sigmoid(x) / S1, and each earlier step moves t by a function
@@ -240,90 +336,3 @@ def soft_topk_backward(tape: SinkhornTape, upstream: np.ndarray) -> np.ndarray:
         dz += dt * (carry[1:] @ dt_dx)
         dt *= carry[0]
     return 4.0 * tape.lam * dz
-
-
-def finite_difference_gradient(
-    problem: TopKProblem, upstream: np.ndarray, step: float = 1e-4
-) -> np.ndarray:
-    """Central-difference reference gradient for :func:`soft_topk_backward`.
-
-    Each perturbed solve is run for exactly the iteration count of the base
-    solve, so both sides differentiate the same truncated map.  The divisor
-    uses the realized float32 score difference, not the nominal step, which
-    keeps the oracle accurate near the float32 rounding floor.
-    """
-    up = np.asarray(upstream, dtype=np.float64).reshape(-1)
-    base_plan, base_tape = sinkhorn_solve(problem)
-    iters = max(base_plan.iterations_used, 1)
-    grad = np.zeros(problem.n)
-    base = problem.scores.astype(np.float64)
-    for i in range(problem.n):
-        losses = []
-        realized = []
-        for sign in (+1.0, -1.0):
-            a = base.copy()
-            a[i] += sign * step
-            pert = TopKProblem(
-                scores=a, k=problem.k, lam=problem.lam, max_iters=iters, tolerance=1e-300
-            )
-            realized.append(float(pert.scores[i]))
-            losses.append(float(soft_topk(pert).gamma @ up))
-        denom = realized[0] - realized[1]
-        grad[i] = 0.0 if denom == 0.0 else (losses[0] - losses[1]) / denom
-    return grad
-
-
-def dual_gamma(
-    scores: np.ndarray, k: int | np.ndarray, lam: float, max_iters: int = 100, tolerance: float = 1e-6
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve B ranking problems (rows of ``scores``) exactly through their scalar dual.
-
-    Every plan row has mass 1/N, so gamma_i = sigmoid(4 * lam * a_i + t) with t
-    the root of sum(gamma) = k, found by Newton steps that bisect a bracket on
-    the root whenever they leave it.  Scores are clamped and rounded through
-    float32 as in :class:`TopKProblem`; ``k`` is shared or one count per row.
-    A row stops once |sum(gamma) - k| <= ``tolerance`` or after ``max_iters``
-    steps.  Returns gamma (B, N) float64, the Newton steps per row and the
-    final |sum(gamma) - k| per row.  Forward only: block ranking keeps no tape.
-    """
-    raw = np.asarray(scores, dtype=np.float64)
-    if raw.ndim != 2:
-        raise ValidationError(f"scores must be (B, N), got shape {raw.shape}")
-    b, n = raw.shape
-    ks = np.asarray(k)
-    if ks.ndim == 1 and ks.shape != (b,):
-        raise ValidationError(f"per-problem k has shape {ks.shape}, expected ({b},)")
-    if ks.ndim > 1 or ks.min() < 1 or ks.max() > n:
-        raise ValidationError(f"k={k} out of range for N={n}")
-    if not (np.isfinite(lam) and lam > 0 and np.isfinite(tolerance) and tolerance > 0):
-        raise ValidationError("lambda and tolerance must be finite and positive")
-    if max_iters < 1:
-        raise ValidationError("max_iters must be positive")
-    gamma, iters, errors = np.ones((b, n)), np.zeros(b, dtype=int), np.zeros(b)
-    # k == N rows keep gamma = 1 exactly; the others have a finite root
-    rows = np.flatnonzero(np.broadcast_to(ks, (b,)) < n)
-    kk = np.broadcast_to(ks, (b,))[rows].astype(np.int64)
-    z = 4.0 * lam * np.clip(raw[rows], -1.0, 1.0).astype(np.float32).astype(np.float64)
-    # every logit is at most logit(k/N) at lo, so sum(gamma) <= k there; >= k at hi
-    lo = np.log(kk) - np.log(n - kk) - z.max(axis=1)
-    hi = np.log(kk) - np.log(n - kk) - z.min(axis=1)
-    active = np.arange(rows.size)
-    top = -np.sort(-z, axis=1)
-    t = np.clip(-0.5 * (top[active, kk - 1] + top[active, kk]), lo, hi)
-    for m in range(max_iters + 1):
-        # sigmoid as exp(-log(1 + e^-x)), which keeps tiny weights' relative precision
-        g = np.exp(-np.logaddexp(0.0, -(z[active] + t[active, None])))
-        excess = g.sum(axis=1) - kk[active]
-        gamma[rows[active]], errors[rows[active]] = g, np.abs(excess)
-        keep = np.abs(excess) > tolerance
-        if m == max_iters or not keep.any():
-            break
-        active, g, excess = active[keep], g[keep], excess[keep]
-        iters[rows[active]] = m + 1
-        lo[active[excess < 0]] = t[active[excess < 0]]
-        hi[active[excess > 0]] = t[active[excess > 0]]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = t[active] - excess / (g * (1.0 - g)).sum(axis=1)
-        inside = (step > lo[active]) & (step < hi[active])
-        t[active] = np.where(inside, step, 0.5 * (lo[active] + hi[active]))
-    return gamma, iters, errors

@@ -439,17 +439,24 @@ class TestTopkCommand:
         assert capsys.readouterr().out == clamped
 
     def test_capped_solve_warns_on_stderr(self, capsys):
-        # at the defaults (lambda 50, 100 steps) Sinkhorn ends 1.6e-3 off the
-        # marginals; stdout and the exit code stay as for a converged solve
+        # at the defaults (lambda 50, 100 Newton steps) the exact dual gives the
+        # indicator and says nothing
         argv = ["topk", "--scores", "0.9,0.1,-0.5,0.7", "--k", "2"]
         assert main(argv) == 0
         out, err = capsys.readouterr()
-        assert out == "gamma: 0.993766,0.012468,0.000000,0.993766\nselected: 0,3\n"
+        assert out == "gamma: 1.000000,0.000000,0.000000,1.000000\nselected: 0,3\n"
+        assert err == ""
+        # one Newton step at lambda 1 ends 9.6e-4 off sum(gamma) = k; stdout and
+        # the exit code stay as for a converged solve, and one stderr line says so
+        soft = argv + ["--lambda", "1"]
+        assert main(soft + ["--max-iters", "1"]) == 0
+        out, err = capsys.readouterr()
+        assert out == "gamma: 0.899374,0.267035,0.031993,0.800638\nselected: 0,3\n"
         assert err.splitlines() == [
-            "warning: Sinkhorn stopped at --max-iters after 100 steps "
-            "with marginal error 1.6e-03 above --tolerance 1e-06"
+            "warning: Newton solve stopped at --max-iters 1 "
+            "with |sum(gamma) - k| = 9.6e-04 above --tolerance 1e-06"
         ]
-        assert main(argv + ["--lambda", "2"]) == 0  # converges inside 100 steps
+        assert main(soft) == 0  # converges inside 100 steps
         assert capsys.readouterr().err == ""
 
 
