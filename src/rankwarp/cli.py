@@ -98,44 +98,42 @@ def _read_mask(path: str) -> LabelMask:
 
 # CSV entries formatted per chunk; bounds the writer's peak at O(chunk) beside
 # the links' exemplar fields, and keeps a chunk's line matrix (40 bytes a line
-# for 4-digit indices) in cache
+# below 10**7 sites) in cache
 _CSV_CHUNK_ENTRIES = 1 << 14
 
-# The CSV is built as a row-major byte matrix, one line per row, whose fields
-# sit at fixed columns with NUL padding; dropping every NUL byte leaves the
-# text.  A line is the query's digits right-aligned after NUL padding, a
-# comma, the exemplar's digits right-aligned, then three 8-byte words of
-# weight: a right-aligned head with its comma, the fraction digits and a
-# left-aligned tail.  The bytes of a full-width line form two runs, which is
-# what the NUL drop pays for.
+# The CSV is built as a row-major matrix of 8-byte words, one line per row,
+# whose fields sit at fixed words with NUL padding; dropping every NUL byte
+# leaves the text.  A line is the query's digits and comma right-aligned, the
+# exemplar's digits left-aligned, then three words of weight: a right-aligned
+# head with its comma, the fraction digits and a left-aligned tail.  Left-
+# aligned, the exemplar's padding joins the head's, so a line's bytes form at
+# most three runs, which is what the NUL drop pays for; a right-aligned
+# exemplar left a NUL gap after the query's comma and the drop took 12-18% longer.
 
 
-def _quad_tables() -> np.ndarray:
-    """ASCII of the 4-digit groups 0..9999 in four tables, one uint32 per group.
+def _index_words(values, words: int, comma: bool) -> np.ndarray:
+    """(n, words) uint64 of Python's ``%d`` of each int, NUL-padded to ``8 * words`` bytes.
 
-    The tables print a group with leading zeros as NUL and 0 as all NUL (a
-    group above every digit), with leading zeros as NUL (the lowest group),
-    zero-padded (a group below a nonzero one) and with trailing zeros as NUL
-    (a fraction, which %g strips).  Each is the 100 x 100 grid of two-digit
-    pairs with some digits cleared.
+    ``%d,`` right-aligned with ``comma`` (the query), else ``%d`` left-aligned
+    (the exemplar); formatted space-padded in one call, the spaces then NUL.
     """
-    pairs = (np.arange(100) // np.array([[10], [1]]) % 10 + ord("0")).astype(np.uint8)
-    pairs = pairs.T.copy().view(np.uint16)[:, 0]
-    quads = np.empty((4, 100, 100, 2), dtype=np.uint16)
-    quads[..., 0] = pairs[:, None]
-    quads[..., 1] = pairs
-    digits = quads.view(np.uint8).reshape(4, 10**4, 4)
-    for j in range(4):
-        digits[:2, : 10 ** (3 - j), j] = 0  # leading zeros
-        digits[3, :: 10 ** (4 - j), j] = 0  # trailing zeros
-    digits[1, 0, 3] = ord("0")  # the lowest group prints 0 as one digit
-    return digits.view(np.uint32)[..., 0]
+    form = (f"%{8 * words - 1}d," if comma else f"%-{8 * words}d").encode()
+    text = (form * len(values) % tuple(values)).replace(b" ", b"\0")
+    return np.frombuffer(text, np.uint64).reshape(-1, words)
 
 
-_QUADS = _quad_tables()
-_GROUPS, _STRIPPED = _QUADS[:3], _QUADS[3]
-# first four fraction digits: zero-padded, or stripped when the last four are 0
-_FRAC_HIGH = _QUADS[2:].reshape(-1)
+def _fraction_tables() -> np.ndarray:
+    """ASCII of the 4-digit groups 0..9999 as uint32, zero-padded, then trailing zeros as NUL."""
+    groups = np.arange(10**4)[:, None]
+    digits = (groups // 10 ** np.arange(3, -1, -1) % 10 + ord("0")).astype(np.uint8)
+    stripped = np.where(groups % 10 ** np.arange(4, 0, -1) == 0, 0, digits)
+    return np.concatenate([digits, stripped]).view(np.uint32).reshape(-1)
+
+
+# first four fraction digits: zero-padded, or stripped (as %g strips trailing
+# zeros) when the last four are 0; the last four, stripped
+_FRAC_HIGH = _fraction_tables()
+_STRIPPED = _FRAC_HIGH[10**4 :]
 # a weight w in [1e-14, 1) prints as head, 8 fraction digits and tail; with
 # X = floor(log10 w), both are indexed by (X, first digit, fraction is 0):
 # the head is "0." and -X-1 zeros then the digit for X >= -4, else "d." (or
@@ -152,16 +150,6 @@ _TAILS = np.frombuffer(b"".join(
 # 10**(8 - X) by X - _EXPONENTS[0]; each is exact in float64, so w * 10**(8 - X)
 # is rounded once
 _SCALES = 10.0 ** (8 - np.array(_EXPONENTS))
-
-
-def _digit_groups(slots: np.ndarray, values: np.ndarray) -> None:
-    """Fill ``slots`` (n, g) with ints in [0, 10**(4 g)), right-aligned, leading zeros as NUL."""
-    groups = slots.shape[1]
-    rest = values
-    for g in range(groups - 1, 0, -1):
-        rest, quad = np.divmod(rest, 10**4)
-        slots[:, g] = _GROUPS[np.where(rest > 0, 2, int(g == groups - 1)), quad]
-    slots[:, 0] = _GROUPS[int(groups == 1), rest]
 
 
 def _weight_words(words: np.ndarray, w: np.ndarray) -> None:
@@ -234,55 +222,37 @@ def _write_correspondence_csv(path: str, corr: SparseCorrespondence) -> None:
     """
     sites, m = corr.weights.shape
     blocks = corr.site_blocks()
-    q_groups = -(-len(str(sites - 1)) // 4)
-    e_groups = -(-len(str(corr.exemplar_sites - 1)) // 4)
-    # NUL padding before the query puts the exemplar on 4-byte and the
-    # weight on 8-byte columns
-    pad = -(4 * (q_groups + e_groups) + 1) % 8
-    e0 = (pad + 4 * q_groups + 1) // 4  # first exemplar slot
-    w0 = (e0 + e_groups) // 2  # first weight word
-    # the sites of a block share its links, so each block's exemplar fields
-    # are formatted once
-    exemplar = np.empty((corr.links.size, e_groups), dtype=np.uint32)
-    _digit_groups(exemplar, corr.links.reshape(-1))
-    exemplar = exemplar.reshape(*corr.links.shape, e_groups)
+    q_words = len(str(sites - 1)) // 8 + 1  # with the comma
+    e_words = -(-len(str(corr.exemplar_sites - 1)) // 8)
+    w0 = q_words + e_words  # first weight word
+    # the sites of a block share its links, and links repeat across blocks,
+    # so each distinct exemplar field is formatted once
+    distinct, inverse = np.unique(corr.links.reshape(-1), return_inverse=True)
+    exemplar = _index_words(distinct.tolist(), e_words, comma=False)[inverse]
+    exemplar = exemplar.reshape(*corr.links.shape, e_words)
     rows_per_chunk = max(1, _CSV_CHUNK_ENTRIES // m)
     starts = range(0, sites, rows_per_chunk)
     threaded = correspondence._cpus() >= 2 and len(starts) >= 2
     # a buffer is formatted again only once its emit has finished; reusing
     # them spares faulting in fresh pages for every chunk
-    buffers = [
-        np.empty((min(rows_per_chunk, sites) * m, w0 + 3), dtype=np.uint64)
-        for _ in range(1 + threaded)
-    ]
-
-    def format_chunk(lines: np.ndarray, r0: int, r1: int) -> np.ndarray:
-        lines = lines[: (r1 - r0) * m]
-        slots = lines.view(np.uint32)
-        # the padded query and its comma, once per row, then on its m lines
-        query = np.zeros((r1 - r0, e0), dtype=np.uint32)
-        digits = np.empty((r1 - r0, q_groups), dtype=np.uint32)
-        _digit_groups(digits, np.arange(r0, r1))
-        query_bytes = query.view(np.uint8)
-        query_bytes[:, pad : pad + 4 * q_groups] = digits.view(np.uint8)
-        query_bytes[:, -1] = ord(",")
-        for j in range(e0):
-            slots[:, j].reshape(r1 - r0, m)[:] = query[:, j : j + 1]
-        slots[:, e0 : 2 * w0].reshape(r1 - r0, m, e_groups)[:] = exemplar[blocks[r0:r1]]
-        _weight_words(lines[:, w0:], corr.weights[r0:r1].reshape(-1))
-        return lines
+    shape = (min(rows_per_chunk, sites) * m, w0 + 3)
+    buffers = [np.empty(shape, dtype=np.uint64) for _ in range(1 + threaded)]
 
     # leaving the pool's block joins the worker, also on an error, before
     # the file closes
-    with open(path, "wb") as fh, (
-        ThreadPoolExecutor(max_workers=1) if threaded else nullcontext()
-    ) as pool:
+    with open(path, "wb") as fh, (ThreadPoolExecutor(1) if threaded else nullcontext()) as pool:
         fh.write(b"query_index,exemplar_index,weight\n")
         pending = []
         for i, r0 in enumerate(starts):
             if len(pending) == len(buffers):
                 pending.pop(0).result()
-            lines = format_chunk(buffers[i % len(buffers)], r0, min(r0 + rows_per_chunk, sites))
+            r1 = min(r0 + rows_per_chunk, sites)
+            lines = buffers[i % len(buffers)][: (r1 - r0) * m]
+            fields = lines.reshape(r1 - r0, m, w0 + 3)
+            # the query and its comma, once per row, then on its m lines
+            fields[:, :, :q_words] = _index_words(range(r0, r1), q_words, comma=True)[:, None]
+            fields[:, :, q_words:w0] = exemplar[blocks[r0:r1]]
+            _weight_words(lines[:, w0:], corr.weights[r0:r1].reshape(-1))
             if pool is None:
                 _emit(fh, lines)
             else:

@@ -235,11 +235,6 @@ class SparseCorrespondence:
         rows = np.arange(part.height) // part.block_side * part.blocks_w
         return (rows[:, None] + np.arange(part.width) // part.block_side).reshape(-1)
 
-    @property
-    def indices(self) -> np.ndarray:
-        """(L_q, m) exemplar sites of each query site, ``links`` expanded per site."""
-        return self.links[self.site_blocks()]
-
 
 def block_attention(
     partition: BlockPartition,

@@ -187,9 +187,7 @@ def test_05_self_alignment_is_identity(capsys):
         ranking = rank_blocks(blocks, blocks, k)
         corr = block_attention(part, grid, grid, ranking, 0.002)
         warped = warp(corr, grid)
-        best = corr.indices[
-            np.arange(corr.indices.shape[0]), corr.weights.argmax(axis=1)
-        ]
+        best = corr.links[corr.site_blocks(), corr.weights.argmax(axis=1)]
         identity &= bool(np.array_equal(best, np.arange(grid.site_count)))
         worst_linf = max(worst_linf, float(np.abs(warped.data - grid.data).max()))
         worst_cycle = max(worst_cycle, cycle_loss(corr, grid))
@@ -262,10 +260,11 @@ def test_07_matches_masked_dense_oracle(capsys):
         expect = np.zeros((h * w, d))
         area = side * side
         sites_of = part.feature_indices()
+        indices = corr.links[corr.site_blocks()]
         for block in range(part.block_count):
             gammas = np.repeat(ranking.gammas[block], area)
             for site in sites_of[block]:
-                cols = corr.indices[site]
+                cols = indices[site]
                 logits = cos[site, cols] / 0.07 + np.log(gammas)
                 logits -= logits.max()
                 weights = np.exp(logits)

@@ -217,12 +217,19 @@ class TestWarpCommand:
 
 
 def _legacy_csv(corr):
-    """The per-entry formatter the bulk writer replaced, kept as its oracle."""
-    lines = ["query_index,exemplar_index,weight\n"]
-    for q in range(corr.sites):
-        for e, wgt in zip(corr.indices[q], corr.weights[q]):
-            lines.append(f"{q},{int(e)},{float(wgt):.9g}\n")
-    return "".join(lines).encode()
+    """The CSV from Python's own formatter, the bulk writer's oracle.
+
+    Each line is ``"%d,%d,%.9g\\n"`` of the query site, the exemplar site and
+    the float32 weight taken as a float, as the per-entry formatter the
+    writer replaced printed it; all lines go through one ``%`` call.
+    """
+    sites, m = corr.weights.shape
+    fields = np.empty((sites * m, 3), dtype=object)
+    fields[:, 0] = np.repeat(np.arange(sites), m).tolist()
+    fields[:, 1] = corr.links[corr.site_blocks()].reshape(-1).tolist()
+    fields[:, 2] = corr.weights.reshape(-1).astype(np.float64).tolist()
+    text = "%d,%d,%.9g\n" * (sites * m) % tuple(fields.reshape(-1))
+    return b"query_index,exemplar_index,weight\n" + text.encode()
 
 
 def _crafted_weights():
@@ -267,13 +274,10 @@ class TestCorrespondenceCsv:
         assert path.read_bytes() == _legacy_csv(corr)
 
     def test_digit_group_tables_match_python_formatting(self):
+        # the fraction tables: 4-digit groups zero-padded, and with %g's
+        # trailing zeros as NUL
         groups = range(10**4)
         zero_padded = [f"{g:04d}".encode() for g in groups]
-        assert _table_bytes(cli._GROUPS[2]) == zero_padded
-        assert _table_bytes(cli._GROUPS[1]) == [str(g).encode().rjust(4, b"\0") for g in groups]
-        assert _table_bytes(cli._GROUPS[0]) == [
-            (str(g) if g else "").encode().rjust(4, b"\0") for g in groups
-        ]
         stripped = [f"{g:04d}".rstrip("0").encode().ljust(4, b"\0") for g in groups]
         assert _table_bytes(cli._STRIPPED) == stripped
         assert _table_bytes(cli._FRAC_HIGH) == zero_padded + stripped
@@ -291,6 +295,24 @@ class TestCorrespondenceCsv:
         cli._weight_words(words, weights)
         written = [line.tobytes().replace(b"\0", b"") for line in words]
         assert written == [f",{w:.9g}\n".encode() for w in weights]
+
+    @pytest.mark.parametrize("comma, two_words_from", [(True, 10**7), (False, 10**8)])
+    def test_index_words_at_digit_count_boundaries(self, comma, two_words_from):
+        # a query field ("%d,", right-aligned) needs a second word from 8
+        # digits on, an exemplar field (left-aligned) from 9; the writer's
+        # tests reach the query's second word only at 10**7 sites
+        values = [0, 9, 10, 9_999_999, 10**7, 99_999_999, 10**8, 2**31 - 1]
+        for v in values:
+            words = 1 if v < two_words_from else 2
+            text = b"%d," % v if comma else b"%d" % v
+            pad = b"\0" * (8 * words - len(text))
+            field = cli._index_words([v], words, comma)
+            assert field.tobytes() == (pad + text if comma else text + pad)
+        # one call lays out every field in its own row of words
+        rows = cli._index_words(values, 2, comma)
+        assert [row.tobytes().strip(b"\0") for row in rows] == [
+            b"%d," % v if comma else b"%d" % v for v in values
+        ]
 
     def test_ten_digit_exemplar_indices_use_fixed_tables(self, tmp_path):
         # no table may grow with the index range: the writer's traced peak

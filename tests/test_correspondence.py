@@ -227,10 +227,11 @@ class TestAttention:
         en = exemplar.vectors.astype(np.float64)
         en /= np.linalg.norm(en, axis=1, keepdims=True)
         q_feat, e_feat = part.feature_indices(), e_part.feature_indices()
+        indices = corr.links[corr.site_blocks()]
         for block in range(part.block_count):
             for offset, site in enumerate(q_feat[block]):
                 cols = e_feat[ranking.candidates[block]].reshape(-1)
-                assert np.array_equal(corr.indices[site], cols)
+                assert np.array_equal(indices[site], cols)
                 raw = ranking.gammas[block].repeat(4) * np.exp(qn[site] @ en[cols].T / tau)
                 assert np.allclose(corr.weights[site], raw / raw.sum(), atol=1e-6)
 
@@ -244,8 +245,9 @@ class TestAttention:
         rng = np.random.default_rng(52)
         grid = _grid(rng, 8, 8, 6)
         _, corr = _pipeline(grid, grid, 2, 1, tau=0.01)
+        indices = corr.links[corr.site_blocks()]
         for q in range(corr.sites):
-            assert corr.indices[q][np.argmax(corr.weights[q])] == q
+            assert indices[q][np.argmax(corr.weights[q])] == q
 
     def test_equal_gammas_reduce_to_masked_softmax(self):
         # with all candidate gammas equal the gamma factor cancels in the
@@ -257,8 +259,9 @@ class TestAttention:
         corr = block_attention(part, grid, grid, ranking, tau=0.2)
         qn = grid.vectors.astype(np.float64)
         qn /= np.linalg.norm(qn, axis=1, keepdims=True)
+        indices = corr.links[corr.site_blocks()]
         for q in range(0, corr.sites, 7):
-            cols = corr.indices[q]
+            cols = indices[q]
             t = qn[q] @ qn[cols].T / 0.2
             w = np.exp(t - t.max())
             assert np.allclose(corr.weights[q], w / w.sum(), atol=1e-6)
@@ -283,7 +286,7 @@ class TestAttention:
             pytest.skip("every block was retrieved; nothing to doctor")
         dirty = block_attention(part, query, FeatureGrid(doctored), ranking, tau=0.1)
         assert clean.weights.tobytes() == dirty.weights.tobytes()
-        assert clean.indices.tobytes() == dirty.indices.tobytes()
+        assert clean.links.tobytes() == dirty.links.tobytes()
 
     def test_validation(self):
         rng = np.random.default_rng(55)
@@ -318,7 +321,7 @@ class TestNormalizerGuard:
         # site 0 has cosine 0 with every exemplar site, and every query site
         # has cosine 0 with exemplar sites 0, 1, 4 and 5
         assert np.array_equal(corr.weights[0], np.full(16, 1 / 16, dtype=np.float32))
-        zero_cols = np.isin(corr.indices, [0, 1, 4, 5])
+        zero_cols = np.isin(corr.links[corr.site_blocks()], [0, 1, 4, 5])
         for q in range(corr.sites):
             assert np.unique(corr.weights[q][zero_cols[q]]).size == 1
 
@@ -353,9 +356,8 @@ class TestDenseBaseline:
             _, sparse = _pipeline(query, exemplar, 2, 3, tau=0.05)
             dense = dense_correspondence_baseline(query, exemplar, 0.05)
             argmax = np.argmax(dense, axis=1)
-            covered = all(
-                argmax[q] in sparse.indices[q] for q in range(sparse.sites)
-            )
+            indices = sparse.links[sparse.site_blocks()]
+            covered = all(argmax[q] in indices[q] for q in range(sparse.sites))
             if not covered:
                 continue
             checked += 1
@@ -374,7 +376,7 @@ class TestDenseBaseline:
         ranking, corr = _pipeline(query, exemplar, 4, 1, tau=0.15)
         assert np.array_equal(ranking.gammas, np.ones((1, 1)))
         dense = dense_correspondence_baseline(query, exemplar, 0.15)
-        assert np.array_equal(corr.indices, np.tile(np.arange(16), (16, 1)))
+        assert np.array_equal(corr.links[corr.site_blocks()], np.tile(np.arange(16), (16, 1)))
         assert np.allclose(corr.weights, dense, atol=1e-6)
 
 
@@ -478,7 +480,8 @@ class TestBlockLinks:
             query, exemplar = append_position(query, channels), append_position(exemplar, channels)
         ranking, corr = _pipeline(query, exemplar, side, 3, tau=0.07)
         assert corr.links.shape == (corr.partition.block_count, 3 * side * side)
-        assert corr.indices.tobytes() == _scattered_indices(corr.partition, ranking).tobytes()
+        indices = corr.links[corr.site_blocks()]
+        assert indices.tobytes() == _scattered_indices(corr.partition, ranking).tobytes()
 
     @pytest.mark.parametrize("d", [1, 2, 32])
     def test_ranked_warp_equals_per_site_expansion(self, d, monkeypatch):
@@ -487,7 +490,8 @@ class TestBlockLinks:
         rng = np.random.default_rng(91)
         _, corr = _pipeline(_grid(rng, 48, 48, 4), _grid(rng, 48, 48, 4), 2, 3, tau=0.07)
         per_site = SparseCorrespondence(
-            BlockPartition(48, 48, 1), corr.exemplar_sites, corr.weights, corr.indices
+            BlockPartition(48, 48, 1), corr.exemplar_sites, corr.weights,
+            corr.links[corr.site_blocks()],
         )
         exemplar = _grid(rng, 48, 48, d)
         warped = [warp(corr, exemplar).data.tobytes()]

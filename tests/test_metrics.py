@@ -44,8 +44,9 @@ def _cycle_oracle(corr, exemplar):
     # densify the links and evaluate the round trip directly
     l_e = corr.exemplar_sites
     t = np.zeros((corr.sites, l_e))
+    indices = corr.links[corr.site_blocks()]
     for q in range(corr.sites):
-        t[q, corr.indices[q]] = corr.weights[q].astype(np.float64)
+        t[q, indices[q]] = corr.weights[q].astype(np.float64)
     z = exemplar.vectors.astype(np.float64)
     warped = t @ z
     mass = t.sum(axis=0)
@@ -59,7 +60,7 @@ def _cycle_add_at(corr, exemplar):
     z = exemplar.vectors.astype(np.float64)
     l_e, d = z.shape
     w = corr.weights.astype(np.float64)
-    idx = corr.indices.reshape(-1)
+    idx = corr.links[corr.site_blocks()].reshape(-1)
     flat = w.reshape(-1)
     mass = np.zeros(l_e)
     np.add.at(mass, idx, flat)
