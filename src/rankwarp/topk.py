@@ -8,7 +8,10 @@ gamma_i = N * T[i, 1] of the entropic plan T is sigmoid(4 * lambda * a_i + t)
 for one dual gap t per problem.  :func:`dual_gamma` solves for t exactly and
 :func:`dual_gamma_vjp` differentiates the solution in closed form; every
 caller in the package runs this pair.  A Sinkhorn solver and its replayed
-backward remain for the benchmark's ``topk-grad`` workload alone.
+backward remain for the benchmark's ``topk-grad`` workload alone.  While
+|z_top + t| <= 700 their steps form sigmoid(z + t) from u = exp(z - z_top),
+computed once per problem, and one scalar exp(z_top + t); past that, where
+e^x would overflow float64, they work in the log domain.
 """
 
 from __future__ import annotations
@@ -209,15 +212,21 @@ class SinkhornTape:
     """Recorded dual gaps of :func:`sinkhorn_solve`, sufficient to replay it forward or backward.
 
     ``states[m]`` is the gap t before double-step m; ``states[-1]`` is the
-    gap after the last step.  ``z`` holds the logits 4 * lam * a.  When
-    k == N the plan is fully constrained: no step runs and t is +inf.
+    gap after the last step.  ``z`` holds the logits 4 * lam * a and ``u``
+    holds exp(z - max z).  ``gamma`` and ``slope`` are the last step's soft
+    weights k * sigmoid(x) / S1 and gamma * sigmoid(-x), at x = z +
+    ``states[-2]``.  When k == N the plan is fully constrained: no step runs,
+    t is +inf, gamma is 1 and the slope 0.
     """
 
     n: int
     k: int
     lam: float
     z: np.ndarray
+    u: np.ndarray
     states: list = field(default_factory=list)
+    gamma: np.ndarray | None = None
+    slope: np.ndarray | None = None
 
 
 def _sigmoids(x: np.ndarray, top: int, bottom: int):
@@ -240,17 +249,57 @@ def _ends(z: np.ndarray) -> tuple[int, int]:
     return int(z.argmax()), int(z.argmin())
 
 
+# the widest |x_top| a direct step takes: e^x overflows float64 just past 709,
+# and below -700 the sum of sigmoid(x) would come near the smallest normal double
+_DIRECT_LIMIT = 700.0
+
+
+def _direct_sigmoids(u: np.ndarray, scale):
+    """(sigmoid(x), 0, sigmoid(-x), 0) at e^x = scale * u, for a scalar scale or a column of them."""
+    v = u * scale
+    p0 = v + 1.0
+    np.reciprocal(p0, out=p0)
+    return np.multiply(v, p0, out=v), 0.0, p0, 0.0
+
+
+def _step_sigmoids(tape: SinkhornTape, ends: tuple[int, int], t):
+    """(p1, l1, p0, l0) as :func:`_sigmoids` gives them, at x = z + t for a gap t or a column of gaps.
+
+    A row whose largest logit x_top = z_top + t lies within _DIRECT_LIMIT takes
+    the direct form from one exponential per row: with v = exp(x_top) * u =
+    e^x, sigmoid(-x) = 1 / (1 + v) and sigmoid(x) = v * sigmoid(-x), unscaled
+    (l1 = l0 = 0).  Other rows take the log-domain form of :func:`_sigmoids`.
+    """
+    x_top = tape.z.item(ends[0]) + t
+    if not isinstance(t, np.ndarray):
+        if abs(x_top) <= _DIRECT_LIMIT:
+            return _direct_sigmoids(tape.u, math.exp(x_top))
+        p1, l1, p0, l0 = _sigmoids(tape.z + t, *ends)
+        return p1, l1.item(), p0, l0.item()
+    direct = np.abs(x_top[:, 0]) <= _DIRECT_LIMIT
+    if direct.all():
+        return _direct_sigmoids(tape.u, np.exp(x_top))
+    p1, l1, p0, l0 = _sigmoids(tape.z + t, *ends)
+    if direct.any():
+        p1[direct], l1[direct], p0[direct], l0[direct] = _direct_sigmoids(tape.u, np.exp(x_top[direct]))
+    return p1, l1, p0, l0
+
+
 def sinkhorn_solve(problem: TopKProblem) -> tuple[TransportPlan, SinkhornTape]:
     """Sinkhorn iteration on the dual gap, for the benchmark's ``topk-grad`` workload only.
 
     Each double-step scales the rows to 1/N and then the columns to their
     marginals, which on the two-point support moves only the gap, from t = 0:
     t <- t + logit(k/N) - log sum sigmoid(z + t) + log sum sigmoid(-z - t)
-    with z = 4 * lam * a, the sums formed in the log domain so that lambda in
-    the thousands stays finite.  Steps run, recording every t, until the
-    worst marginal violation drops inside the tolerance or ``max_iters`` is
-    exhausted.  Non-convergence is not an error: the plan is returned with
-    ``marginal_error`` set and the caller decides.
+    with z = 4 * lam * a.  While the largest logit z_top + t lies within
+    +-700, a step forms both sums from u = exp(z - z_top), computed once per
+    problem, and the scalar exp(z_top + t); past that e^x would overflow or
+    the sum of sigmoid(x) underflow, and the step forms the sums in the log
+    domain, so that lambda in the thousands stays finite.  Steps run,
+    recording every t, until the worst marginal violation drops inside the
+    tolerance or ``max_iters`` is exhausted.  Non-convergence is not an
+    error: the plan is returned with ``marginal_error`` set and the caller
+    decides.
 
     Returns
     -------
@@ -259,39 +308,37 @@ def sinkhorn_solve(problem: TopKProblem) -> tuple[TransportPlan, SinkhornTape]:
     """
     n, k = problem.n, problem.k
     z = 4.0 * problem.lam * problem.scores.astype(np.float64)
-    tape = SinkhornTape(n=n, k=k, lam=problem.lam, z=z)
+    ends = _ends(z)
+    tape = SinkhornTape(n=n, k=k, lam=problem.lam, z=z, u=np.exp(z - z[ends[0]]))
     if k == n:
         # the column constraint forces T[i] = (0, 1/N) exactly
         tape.states.append(math.inf)
+        tape.gamma, tape.slope = np.ones(n), np.zeros(n)
         plan = np.zeros((n, 2), dtype=np.float32)
         plan[:, 1] = np.float32(1.0 / n)
         return TransportPlan(plan=plan, iterations_used=0, marginal_error=0.0), tape
-    top, bottom = _ends(z)
     logit = math.log(k / (n - k))
     t, err = 0.0, math.inf
     for _ in range(problem.max_iters):
         tape.states.append(t)
-        p1, l1, p0, l0 = _sigmoids(z + t, top, bottom)
+        p1, l1, p0, l0 = _step_sigmoids(tape, ends, t)
         s1, s0 = float(p1.sum()), float(p0.sum())
         # the column sums are exact after the column step; each row's mass is
         # affine in sigmoid(x_i), so the worst row is at the largest or smallest x
-        err = max(abs(k * p1[i] / s1 + (n - k) * p0[i] / s0 - 1.0) for i in (top, bottom)) / n
-        t += logit - float(l1[0]) - math.log(s1) + float(l0[0]) + math.log(s0)
+        err = max(abs(k * p1.item(i) / s1 + (n - k) * p0.item(i) / s0 - 1.0) for i in ends) / n
+        t += logit - l1 - math.log(s1) + l0 + math.log(s0)
         if err <= _STOP_FACTOR * problem.tolerance:
             break
     tape.states.append(t)
-    plan = (np.stack([(n - k) / s0 * p0, k / s1 * p1], axis=1) / n).astype(np.float32)
+    tape.gamma = k / s1 * p1
+    tape.slope = tape.gamma * (p0 * math.exp(l0))
+    plan = (np.stack([(n - k) / s0 * p0, tape.gamma], axis=1) / n).astype(np.float32)
     return TransportPlan(plan=plan, iterations_used=len(tape.states) - 1, marginal_error=err), tape
 
 
 def selection_from_tape(problem: TopKProblem, tape: SinkhornTape) -> SoftSelection:
     """Soft selection from a Sinkhorn tape's last step, for the ``topk-grad`` workload only."""
-    if tape.k == tape.n:
-        gamma = np.ones(tape.n)
-    else:
-        p1 = _sigmoids(tape.z + tape.states[-2], *_ends(tape.z))[0]
-        gamma = tape.k / p1.sum() * p1
-    return SoftSelection(gamma=gamma, hard=hard_topk_oracle(problem.scores, problem.k))
+    return SoftSelection(gamma=tape.gamma, hard=hard_topk_oracle(problem.scores, problem.k))
 
 
 def soft_topk_backward(tape: SinkhornTape, upstream: np.ndarray) -> np.ndarray:
@@ -317,26 +364,20 @@ def soft_topk_backward(tape: SinkhornTape, upstream: np.ndarray) -> np.ndarray:
     up = np.asarray(upstream, dtype=np.float64).reshape(-1)
     if up.size != tape.n:
         raise ValidationError(f"upstream has {up.size} entries, tape expects {tape.n}")
-    if tape.k == tape.n:
-        # gamma is identically 1; nothing depends on the scores
-        return np.zeros(tape.n)
-    ends = _ends(tape.z)
-    p1, _, p0, l0 = _sigmoids(tape.z + tape.states[-2], *ends)
-    gamma = tape.k / p1.sum() * p1
     # the last step: d gamma_i / d x_j = gamma_j * sigmoid(-x_j) * (delta_ij - gamma_i / k)
-    dz = gamma * (p0 * np.exp(l0)) * (up - (up @ gamma) / tape.k)
+    dz = tape.slope * (up - (up @ tape.gamma) / tape.k)
     dt = dz.sum()  # d loss / d t_{M-1}
     # the earlier steps m < M - 1, a block of rows x = z + t_m at a time, last block first
+    ends = _ends(tape.z)
     steps = np.array(tape.states[:-2])
     rows = max(1, _BACKWARD_ENTRIES // tape.n)
     for hi in range(steps.size, 0, -rows):
         lo = max(0, hi - rows)
-        p1, l1, p0, l0 = _sigmoids(tape.z + steps[lo:hi, None], *ends)
-        # d t_{m+1} / d x; an underflow in sigmoid(+-x) multiplies a ratio <= 1
-        dt_dx = -(
-            p1 / p1.sum(axis=1, keepdims=True) * (p0 * np.exp(l0))
-            + p0 / p0.sum(axis=1, keepdims=True) * (p1 * np.exp(l1))
-        )
+        p1, l1, p0, l0 = _step_sigmoids(tape, ends, steps[lo:hi, None])
+        # d t_{m+1} / d x, with sigmoid(x) * sigmoid(-x) = p1 * p0 * exp(l1 + l0);
+        # at most one of l1 and l0 is below 0, so the row factor stays finite
+        dt_dx = p1 * p0
+        dt_dx *= -(np.exp(l0) / p1.sum(axis=1, keepdims=True) + np.exp(l1) / p0.sum(axis=1, keepdims=True))
         # d t_{m+1} / d t_m = 1 + sum(d t_{m+1} / d x); carry[j] = d t_hi / d t_(lo + j)
         carry = np.cumprod(np.append(1.0 + dt_dx.sum(axis=1), 1.0)[::-1])[::-1]
         dz += dt * (carry[1:] @ dt_dx)

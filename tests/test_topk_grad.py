@@ -2,7 +2,8 @@
 
 The exact dual's closed-form VJP is checked against central differences of the
 exact map; the Sinkhorn replay that the benchmark times is checked against
-its legacy log-domain form, its own truncated map and the dual VJP.
+its legacy log-domain form, its own truncated map and the dual VJP, and its
+direct steps against its own log-domain steps.
 """
 
 import math
@@ -10,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from rankwarp import topk
 from rankwarp.tensors import ValidationError
 from rankwarp.topk import (
     EXACT_TOLERANCE,
@@ -244,6 +246,52 @@ class TestGapRecursion:
         got = soft_topk_backward(tape, upstream)
         floor = 1e-13 * lam * np.linalg.norm(upstream)
         assert np.linalg.norm(got - grad) <= 1e-10 * np.linalg.norm(grad) + floor
+
+
+def _step_form_cases():
+    rng = np.random.default_rng(17)
+    cases = [(rng.uniform(-1, 1, 400), 3, 50.0, 100) for _ in range(3)]  # the topk-grad shape
+    cases.append((rng.uniform(-1, 1, 400), 3, 200.0, 100))  # the first steps lie out of range
+    for n in (3, 9, 50):
+        for lam in (5.0, 50.0, 200.0):
+            cases += [(rng.uniform(-1, 1, n), 1, lam, 100), (rng.uniform(-1, 1, n), n - 1, lam, 100)]
+    cases.append((rng.uniform(-1, 1, 24), 6, 50.0, 3))  # truncated
+    return cases
+
+
+class TestStepForms:
+    def test_direct_steps_match_log_domain_steps(self, monkeypatch):
+        # the same battery solved and replayed twice: with the direct step
+        # wherever |z_top + t| is in range, then with a range that admits no
+        # step, so that every step runs in the log domain
+        rng = np.random.default_rng(18)
+        runs = []
+        for scores, k, lam, max_iters in _step_form_cases():
+            problem = TopKProblem(scores, k=k, lam=lam, max_iters=max_iters)
+            upstream = rng.standard_normal(problem.n)
+            plan, tape = sinkhorn_solve(problem)
+            runs.append((problem, upstream, plan, tape, soft_topk_backward(tape, upstream)))
+        limit = topk._DIRECT_LIMIT
+        monkeypatch.setattr(topk, "_DIRECT_LIMIT", -1.0)
+        direct, steps, straddling = 0, 0, 0
+        for problem, upstream, plan, tape, grad in runs:
+            log_plan, log_tape = sinkhorn_solve(problem)
+            assert plan.iterations_used == log_plan.iterations_used
+            assert np.abs(tape.gamma - log_tape.gamma).max() <= 1e-12
+            log_grad = soft_topk_backward(log_tape, upstream)
+            # both forms round at about 1e-16 * lam per replayed step: on a
+            # saturated N=3 row both give 1e-73 for a gradient whose exact
+            # value is 8.8e-95, so the bound has the legacy cross-check's floor
+            floor = 1e-13 * problem.lam * np.linalg.norm(upstream)
+            assert np.linalg.norm(grad - log_grad) <= 1e-10 * np.linalg.norm(log_grad) + floor
+            inside = np.abs(tape.z.max() + np.array(tape.states[:-1])) <= limit
+            direct, steps = direct + int(inside.sum()), steps + inside.size
+            # the backward replays all but the last step in blocks, last block first
+            replayed, rows = inside[:-1], max(1, topk._BACKWARD_ENTRIES // problem.n)
+            blocks = [replayed[max(0, hi - rows) : hi] for hi in range(replayed.size, 0, -rows)]
+            straddling += sum(block.any() and not block.all() for block in blocks)
+        assert direct >= 0.8 * steps, f"only {direct} of {steps} steps took the direct form"
+        assert straddling >= 2, f"only {straddling} backward blocks straddle the range limit"
 
 
 class TestSinkhornLimit:
