@@ -15,13 +15,10 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import correspondence
 from .correspondence import SparseCorrespondence, block_attention, partition_blocks, rank_blocks, warp
 from .fusion import ConfidenceMap, MultiChannelMap, confidence_map, fuse, fuse_multichannel
 from .metrics import render_csv, run_bench
@@ -204,21 +201,12 @@ def _weight_words(words: np.ndarray, w: np.ndarray) -> None:
         words[fallback] = np.frombuffer(text, np.uint64).reshape(-1, 3)
 
 
-def _emit(fh, lines: np.ndarray) -> None:
-    """Drop the NUL bytes of a line matrix and write the text."""
-    text = lines.view(np.uint8).reshape(-1)
-    fh.write(text[text != 0])
-
-
 def _write_correspondence_csv(path: str, corr: SparseCorrespondence) -> None:
     """Write the ``q,e,w`` lines of a ranked correspondence, w as ``%.9g`` of the float32 weight.
 
-    Each chunk of whole query rows is formatted into a line matrix, then
-    emitted: its NUL bytes are dropped and the text written in one call.  A
-    row's exemplar indices are its block's links.  With two or more CPUs and
-    chunks, one worker thread emits chunk i, first in first out, while this
-    thread formats chunk i + 1 into the other of two buffers; the NUL drop
-    and the write release the GIL.  Otherwise the emits run inline.
+    Each chunk of whole query rows is formatted into one reused line matrix;
+    its NUL bytes are then dropped and the text written in one call.  A row's
+    exemplar indices are its block's links.
     """
     sites, m = corr.weights.shape
     blocks = corr.site_blocks()
@@ -231,34 +219,20 @@ def _write_correspondence_csv(path: str, corr: SparseCorrespondence) -> None:
     exemplar = _index_words(distinct.tolist(), e_words, comma=False)[inverse]
     exemplar = exemplar.reshape(*corr.links.shape, e_words)
     rows_per_chunk = max(1, _CSV_CHUNK_ENTRIES // m)
-    starts = range(0, sites, rows_per_chunk)
-    threaded = correspondence._cpus() >= 2 and len(starts) >= 2
-    # a buffer is formatted again only once its emit has finished; reusing
-    # them spares faulting in fresh pages for every chunk
-    shape = (min(rows_per_chunk, sites) * m, w0 + 3)
-    buffers = [np.empty(shape, dtype=np.uint64) for _ in range(1 + threaded)]
-
-    # leaving the pool's block joins the worker, also on an error, before
-    # the file closes
-    with open(path, "wb") as fh, (ThreadPoolExecutor(1) if threaded else nullcontext()) as pool:
+    # reusing one buffer spares faulting in fresh pages for every chunk
+    buffer = np.empty((min(rows_per_chunk, sites) * m, w0 + 3), dtype=np.uint64)
+    with open(path, "wb") as fh:
         fh.write(b"query_index,exemplar_index,weight\n")
-        pending = []
-        for i, r0 in enumerate(starts):
-            if len(pending) == len(buffers):
-                pending.pop(0).result()
+        for r0 in range(0, sites, rows_per_chunk):
             r1 = min(r0 + rows_per_chunk, sites)
-            lines = buffers[i % len(buffers)][: (r1 - r0) * m]
+            lines = buffer[: (r1 - r0) * m]
             fields = lines.reshape(r1 - r0, m, w0 + 3)
             # the query and its comma, once per row, then on its m lines
             fields[:, :, :q_words] = _index_words(range(r0, r1), q_words, comma=True)[:, None]
             fields[:, :, q_words:w0] = exemplar[blocks[r0:r1]]
             _weight_words(lines[:, w0:], corr.weights[r0:r1].reshape(-1))
-            if pool is None:
-                _emit(fh, lines)
-            else:
-                pending.append(pool.submit(_emit, fh, lines))
-        for done in pending:
-            done.result()
+            text = lines.view(np.uint8).reshape(-1)
+            fh.write(text[text != 0])
 
 
 def cmd_warp(args) -> int:

@@ -42,8 +42,8 @@ class TopKProblem:
             raise ValidationError("scores must be non-empty")
         if not np.isfinite(a).all():
             raise ValidationError("scores must be finite")
-        if not 1 <= self.k <= a.size:
-            raise ValidationError(f"k={self.k} out of range for N={a.size}")
+        if self.k % 1 or not 1 <= self.k <= a.size:
+            raise ValidationError(f"k={self.k} is not a whole count in 1..N={a.size}")
         if not (np.isfinite(self.lam) and self.lam > 0):
             raise ValidationError("lambda must be finite and positive")
         if self.max_iters < 1:
@@ -84,22 +84,24 @@ def dual_gamma(
 
     Every plan row has mass 1/N, so gamma_i = sigmoid(4 * lam * a_i + t) with t
     the root of sum(gamma) = k, found by Newton steps that bisect a bracket on
-    the root whenever they leave it.  Scores are clamped and rounded through
-    float32 as in :class:`TopKProblem`; ``k`` is shared or one count per row.
-    A row stops once |sum(gamma) - k| <= ``tolerance`` or after ``max_iters``
-    steps.  Returns gamma (B, N) float64, the Newton steps per row and the
-    final |sum(gamma) - k| per row.  The gradient needs only gamma:
-    see :func:`dual_gamma_vjp`.
+    the root whenever they leave it.  Scores must be finite; they are clamped
+    and rounded through float32 as in :class:`TopKProblem`.  ``k`` is one whole
+    count, shared or one per row.  A row stops once |sum(gamma) - k| <=
+    ``tolerance`` or after ``max_iters`` steps.  Returns gamma (B, N) float64,
+    the Newton steps per row and the final |sum(gamma) - k| per row.  The
+    gradient needs only gamma: see :func:`dual_gamma_vjp`.
     """
     raw = np.asarray(scores, dtype=np.float64)
     if raw.ndim != 2:
         raise ValidationError(f"scores must be (B, N), got shape {raw.shape}")
+    if not np.isfinite(raw).all():
+        raise ValidationError("scores must be finite")
     b, n = raw.shape
     ks = np.asarray(k)
     if ks.ndim == 1 and ks.shape != (b,):
         raise ValidationError(f"per-problem k has shape {ks.shape}, expected ({b},)")
-    if ks.ndim > 1 or ks.min() < 1 or ks.max() > n:
-        raise ValidationError(f"k={k} out of range for N={n}")
+    if ks.ndim > 1 or (ks % 1 != 0).any() or ks.min() < 1 or ks.max() > n:
+        raise ValidationError(f"k={k} is not a whole count in 1..N={n}")
     if not (np.isfinite(lam) and lam > 0 and np.isfinite(tolerance) and tolerance > 0):
         raise ValidationError("lambda and tolerance must be finite and positive")
     if max_iters < 1:
@@ -178,6 +180,9 @@ def finite_difference_gradient(
     the nominal step, which keeps the oracle accurate near the rounding floor.
     """
     n = problem.n
+    up = np.asarray(upstream, dtype=np.float64).reshape(-1)
+    if up.size != n:
+        raise ValidationError(f"upstream has {up.size} entries, expected N={n}")
     diag = np.arange(n)
     rows = np.tile(problem.scores.astype(np.float64), (2 * n, 1))
     rows[diag, diag] += step
@@ -185,7 +190,7 @@ def finite_difference_gradient(
     # the clamp and rounding of TopKProblem, so the divisor sees the scores solved
     rows = np.clip(rows, -1.0, 1.0).astype(np.float32).astype(np.float64)
     gamma, _, _ = dual_gamma(rows, problem.k, problem.lam, problem.max_iters, EXACT_TOLERANCE)
-    losses = gamma @ np.asarray(upstream, dtype=np.float64).reshape(-1)
+    losses = gamma @ up
     denom = rows[diag, diag] - rows[n + diag, diag]
     # a step too small to realize leaves both rows, and so both losses, equal
     return (losses[:n] - losses[n:]) / np.where(denom == 0.0, 1.0, denom)

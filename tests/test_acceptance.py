@@ -4,7 +4,7 @@ Every test prints a single [PASS]/[FAIL] line straight to the terminal
 (past pytest's capture) and then asserts, so a plain
 ``pytest tests/test_acceptance.py`` shows the whole scorecard.  The
 complexity check builds a 16384-site dense baseline and dominates the
-runtime at a few minutes; everything else finishes in seconds.
+runtime at 6-8 s on a 2-core machine; everything else finishes in seconds.
 """
 
 from __future__ import annotations

@@ -7,14 +7,13 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rankwarp
-from rankwarp import cli, correspondence
+from rankwarp import cli
 from rankwarp.cli import _write_correspondence_csv, main
 from rankwarp.correspondence import BlockPartition, SparseCorrespondence
 from rankwarp.posenc import vanilla_pe
@@ -195,7 +194,7 @@ class TestWarpCommand:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     def test_failing_csv_write_exits_3(self, tmp_path, ranking_cpus):
-        # the CSV goes to a device whose every write fails, from the writer thread
+        # the CSV goes to a device whose every write fails, after ranking on two threads
         rng = np.random.default_rng(160)
         cond = _write_grid(tmp_path / "cond.ftn", _random_grid(rng, 16, 16, 4))
         out = tmp_path / "out"
@@ -341,51 +340,17 @@ class TestCorrespondenceCsv:
         weights = (10.0 ** rng.uniform(-9, 0, rows * width)).astype(np.float32)
         self._assert_matches_oracle(tmp_path, weights, 4099, rng, width=width)
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_chunks_serial_and_threaded(self, tmp_path, monkeypatch, cpus):
-        # 10009 query sites (two digit groups) in 31 chunks of 333 rows, the
-        # last one ragged; with 2 CPUs a worker thread emits them
+    def test_many_chunks(self, tmp_path, monkeypatch):
+        # 10009 query sites (five-digit queries) in 31 chunks of 333 rows,
+        # the last one ragged
         monkeypatch.setattr(cli, "_CSV_CHUNK_ENTRIES", 1000)
-        monkeypatch.setattr(correspondence, "_cpus", lambda: cpus)
         rng = np.random.default_rng(186)
         weights = (10.0 ** rng.uniform(-16, 0, 10009 * 3)).astype(np.float32)
         self._assert_matches_oracle(tmp_path, weights, 123457, rng, width=3)
 
-    def test_writer_thread_needs_two_cpus_and_two_chunks(self, tmp_path, monkeypatch):
-        rng = np.random.default_rng(187)
-        weights = (10.0 ** rng.uniform(-9, 0, 200 * 5)).astype(np.float32)
-        corr = _row_correspondence(weights, 4099, rng, width=5)
-        path = tmp_path / "corr.csv"
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("the writer built a thread pool")
-
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
-        # one CPU and 20 chunks, then 64 CPUs and one chunk
-        for cpus, entries in ((1, 50), (64, 1000)):
-            monkeypatch.setattr(correspondence, "_cpus", lambda: cpus)
-            monkeypatch.setattr(cli, "_CSV_CHUNK_ENTRIES", entries)
-            _write_correspondence_csv(str(path), corr)
-            assert path.read_bytes() == _legacy_csv(corr)
-        pools = []
-
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(correspondence, "_cpus", lambda: 2)
-        monkeypatch.setattr(cli, "_CSV_CHUNK_ENTRIES", 500)  # two chunks
-        _write_correspondence_csv(str(path), corr)
-        assert path.read_bytes() == _legacy_csv(corr)
-        assert pools == [1]
-
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_write_failure_raises_and_joins_the_writer(self, monkeypatch, cpus):
+    def test_write_failure_raises_and_leaves_no_thread(self, monkeypatch):
         monkeypatch.setattr(cli, "_CSV_CHUNK_ENTRIES", 1000)
-        monkeypatch.setattr(correspondence, "_cpus", lambda: cpus)
         rng = np.random.default_rng(188)
         weights = (10.0 ** rng.uniform(-9, 0, 3000 * 3)).astype(np.float32)
         corr = _row_correspondence(weights, 4099, rng, width=3)  # 9 chunks
@@ -625,19 +590,8 @@ class TestBenchCommand:
         assert masked(a) == masked(b)
 
 
-def _run_declared_script(name, args):
-    """Run a ``[project.scripts]`` entry in a fresh interpreter, as its wrapper would.
-
-    The pip-generated wrapper imports the ``module:attr`` target from
-    pyproject.toml and calls ``sys.exit(<attr>())``, so the callable's return
-    value becomes the exit status.  The child imports the same checkout as
-    this process.
-    """
-    tomllib = pytest.importorskip("tomllib")
-    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
-        target = tomllib.load(fh)["project"]["scripts"][name]
-    module, _, attr = target.partition(":")
-    code = f"import sys; from {module} import {attr}; sys.exit({attr}())"
+def _fresh_interpreter(code, *args):
+    """Run ``python -c code args`` in a child that imports the same checkout as this process."""
     package_root = os.path.dirname(os.path.dirname(rankwarp.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -647,6 +601,20 @@ def _run_declared_script(name, args):
         [sys.executable, "-c", code, *args],
         capture_output=True, text=True, timeout=60, env=env,
     )
+
+
+def _run_declared_script(name, args):
+    """Run a ``[project.scripts]`` entry in a fresh interpreter, as its wrapper would.
+
+    The pip-generated wrapper imports the ``module:attr`` target from
+    pyproject.toml and calls ``sys.exit(<attr>())``, so the callable's return
+    value becomes the exit status.
+    """
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"][name]
+    module, _, attr = target.partition(":")
+    return _fresh_interpreter(f"import sys; from {module} import {attr}; sys.exit({attr}())", *args)
 
 
 class TestInstalledScript:
@@ -678,9 +646,6 @@ class TestInstalledScript:
         assert read_tensor(str(out)).data.shape == (3, 3, 2)
 
     def test_module_importable_fresh_interpreter(self):
-        proc = subprocess.run(
-            [sys.executable, "-c", "import rankwarp; print(rankwarp.__version__)"],
-            capture_output=True, text=True, timeout=60,
-        )
+        proc = _fresh_interpreter("import rankwarp; print(rankwarp.__version__)")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.1.0"

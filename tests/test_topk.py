@@ -45,6 +45,8 @@ class TestProblem:
         with pytest.raises(ValidationError):
             TopKProblem(np.array([0.1]), k=0)
         with pytest.raises(ValidationError):
+            TopKProblem(np.array([0.5, 0.1, -0.2]), k=1.5)
+        with pytest.raises(ValidationError):
             TopKProblem(np.array([0.1]), k=1, lam=-1.0)
         with pytest.raises(ValidationError):
             TopKProblem(np.array([0.1]), k=1, tolerance=0.0)
@@ -255,15 +257,19 @@ class TestBatch:
             dual_gamma(np.zeros((3, 4)), np.array([1, 0, 2]), lam=50.0)
         with pytest.raises(ValidationError):
             dual_gamma(np.zeros((3, 4)), np.array([1, 5, 2]), lam=50.0)
+        with pytest.raises(ValidationError):
+            dual_gamma(np.zeros((3, 4)), np.array([1, 2.5, 2]), lam=50.0)
 
     @pytest.mark.parametrize(
         "knobs",
         [{"lam": np.nan}, {"lam": np.inf}, {"lam": 0.0}, {"tolerance": np.nan},
-         {"tolerance": np.inf}, {"tolerance": 0.0}, {"max_iters": 0}],
+         {"tolerance": np.inf}, {"tolerance": 0.0}, {"max_iters": 0},
+         {"scores": np.array([[0.1, np.nan]])}, {"scores": np.array([[np.inf, 0.0]])},
+         {"k": 2.7}, {"k": np.nan}],
     )
     def test_bad_solver_parameters(self, knobs):
         with pytest.raises(ValidationError):
-            dual_gamma(np.zeros((3, 4)), 1, **{"lam": 50.0, **knobs})
+            dual_gamma(**{"scores": np.zeros((3, 4)), "k": 1, "lam": 50.0, **knobs})
 
     def test_bad_shapes(self):
         with pytest.raises(ValidationError):

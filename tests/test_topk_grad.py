@@ -130,6 +130,12 @@ class TestFiniteDifferences:
             worst = _worst_rel(grad, reference)
             assert worst < 1e-3, f"trial {trial}: {worst:.3e}"
 
+    def test_upstream_size_mismatch(self):
+        p = TopKProblem(np.array([0.1, 0.2, 0.3]), k=1)
+        for upstream in (np.ones(2), np.ones(4)):
+            with pytest.raises(ValidationError):
+                finite_difference_gradient(p, upstream)
+
     def test_varied_k_and_lambda(self):
         rng = np.random.default_rng(12)
         for trial in range(12):
