@@ -263,12 +263,11 @@ def cmd_warp(args) -> int:
         query = append_position(query, channels[0], args.spe_weight)
         target = append_position(target, channels[-1], args.spe_weight)
 
-    part, q_blocks = partition_blocks(query, args.block_side)
-    _, e_blocks = partition_blocks(target, args.block_side)
     ranking = rank_blocks(
-        q_blocks, e_blocks, args.k, lam=args.lam, iters=args.max_iters, tol=args.tolerance,
+        partition_blocks(query, args.block_side), partition_blocks(target, args.block_side),
+        args.k, lam=args.lam, iters=args.max_iters, tol=args.tolerance,
     )
-    corr = block_attention(part, query, target, ranking, args.tau)
+    corr = block_attention(query, target, ranking, args.tau)
     warped = warp(corr, exem)  # warp carries the original exemplar features
     cmap = confidence_map(ranking)
 
@@ -369,7 +368,7 @@ def _parse_sizes(text: str) -> list[tuple[int, int, int]]:
 
 def cmd_bench(args) -> int:
     records = run_bench(
-        args.sizes, block_area=args.block_side * args.block_side, k=args.k,
+        args.sizes, block_side=args.block_side, k=args.k,
         tau=args.tau, lam=args.lam, repetitions=args.repetitions, seed=args.seed,
     )
     text = render_csv(records)

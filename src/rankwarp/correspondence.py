@@ -45,9 +45,10 @@ class BlockPartition:
     block_side: int
 
     def __post_init__(self) -> None:
-        s = self.block_side
-        if s < 1:
-            raise ValidationError("block_side must be positive")
+        if self.block_side % 1 or not self.block_side >= 1:
+            raise ValidationError(f"block_side={self.block_side} is not a positive whole number")
+        s = int(self.block_side)
+        object.__setattr__(self, "block_side", s)
         if self.height % s or self.width % s:
             raise ValidationError(
                 f"grid {self.height}x{self.width} not divisible by block side {s}"
@@ -86,13 +87,13 @@ class BlockFeatures:
     normalized: np.ndarray  # (N, b*d) float64, unit rows of the raster concatenation
 
 
-def partition_blocks(grid: FeatureGrid, block_side: int) -> tuple[BlockPartition, BlockFeatures]:
+def partition_blocks(grid: FeatureGrid, block_side: int) -> BlockFeatures:
     """Tile ``grid`` into s x s blocks and build the concatenated block vectors."""
     part = BlockPartition(grid.height, grid.width, block_side)
-    s = block_side
+    s = part.block_side
     tiles = grid.data.reshape(part.blocks_h, s, part.blocks_w, s, grid.channels)
     vectors = tiles.transpose(0, 2, 1, 3, 4).reshape(part.block_count, s * s * grid.channels)
-    return part, BlockFeatures(partition=part, normalized=unit_rows(vectors.astype(np.float64)))
+    return BlockFeatures(partition=part, normalized=unit_rows(vectors.astype(np.float64)))
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,6 @@ class BlockRanking:
 
     partition: BlockPartition
     exemplar_blocks: int
-    k: int
     candidates: np.ndarray  # (N_q, k) int32, ascending per row
     gammas: np.ndarray  # (N_q, k) float64
     max_scores: np.ndarray  # (N_q,) float64
@@ -155,8 +155,9 @@ def rank_blocks(
         )
     n_q = query.partition.block_count
     n_e = exemplar.partition.block_count
-    if not 1 <= k <= n_e:
-        raise ValidationError(f"k={k} out of range for {n_e} exemplar blocks")
+    if k % 1 or not 1 <= k <= n_e:
+        raise ValidationError(f"k={k} is not a whole count in 1..{n_e} exemplar blocks")
+    k = int(k)
     cand = np.empty((n_q, k), dtype=np.int32)
     gam = np.empty((n_q, k))
     mx = np.empty(n_q)
@@ -179,7 +180,7 @@ def rank_blocks(
         for span in spans:
             run(span)
     return BlockRanking(
-        partition=query.partition, exemplar_blocks=n_e, k=k, candidates=cand,
+        partition=query.partition, exemplar_blocks=n_e, candidates=cand,
         gammas=gam, max_scores=mx, iterations=used, marginal_errors=errs,
         scored_pairs=n_q * n_e,
     )
@@ -237,23 +238,18 @@ class SparseCorrespondence:
 
 
 def block_attention(
-    partition: BlockPartition,
-    query_grid: FeatureGrid,
-    exemplar_grid: FeatureGrid,
-    ranking: BlockRanking,
-    tau: float,
+    query_grid: FeatureGrid, exemplar_grid: FeatureGrid, ranking: BlockRanking, tau: float
 ) -> SparseCorrespondence:
     """Dense attention from each query feature to the features of its retrieved blocks.
 
-    Raw weight on exemplar feature e in candidate block j is
-    gamma_j * exp(cos(x_q, z_e) / tau); rows are renormalized to sum 1.
-    Candidate features are enumerated in fixed (block index, offset) order,
-    so outputs are deterministic.
+    The blocks are those of the ranking's query partition.  Raw weight on
+    exemplar feature e in candidate block j is gamma_j * exp(cos(x_q, z_e) / tau);
+    rows are renormalized to sum 1.  Candidate features are enumerated in
+    fixed (block index, offset) order, so outputs are deterministic.
     """
-    if tau <= 0:
+    if not tau > 0:
         raise ValidationError("tau must be positive")
-    if ranking.partition != partition:
-        raise ValidationError("ranking was built over a different partition")
+    partition = ranking.partition
     if (query_grid.height, query_grid.width) != (partition.height, partition.width):
         raise ValidationError("query grid does not match the partition")
     e_part = BlockPartition(exemplar_grid.height, exemplar_grid.width, partition.block_side)
@@ -263,7 +259,7 @@ def block_attention(
         raise ValidationError("channel counts differ")
 
     b = partition.block_area
-    k = ranking.k
+    k = ranking.candidates.shape[1]
     qn = unit_rows(query_grid.vectors.astype(np.float64))
     en = unit_rows(exemplar_grid.vectors.astype(np.float64))
     q_feat = partition.feature_indices()  # (N_q, b)

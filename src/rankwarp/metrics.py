@@ -97,7 +97,7 @@ def dense_correspondence_baseline(
     query_grid: FeatureGrid, exemplar_grid: FeatureGrid, tau: float
 ) -> np.ndarray:
     """(L_q, L_e) float32 softmax-over-cosine rows; the accuracy and memory reference point."""
-    if tau <= 0:
+    if not tau > 0:
         raise ValidationError("tau must be positive")
     if query_grid.channels != exemplar_grid.channels:
         raise ValidationError("channel counts differ")
@@ -153,7 +153,7 @@ def _traced(builder, repetitions: int) -> tuple[object, int, float]:
 
 def run_bench(
     sizes: list[tuple[int, int, int]],
-    block_area: int = 4,
+    block_side: int = 2,
     k: int = 3,
     tau: float = 0.07,
     lam: float = 50.0,
@@ -167,9 +167,7 @@ def run_bench(
     row rather than aborting the sweep.  ``repetitions`` = 0 skips the timed
     builds and leaves ``ms`` NaN; peaks and counts are unchanged.
     """
-    side = math.isqrt(block_area)
-    if side * side != block_area:
-        raise ValidationError(f"block area {block_area} is not a square")
+    block_area = block_side * block_side
     records = []
     for height, width, depth in sizes:
         rng = np.random.default_rng([seed, height, width, depth])
@@ -186,10 +184,9 @@ def run_bench(
             records.append(BenchRecord("dense", sites, block_area, k, 0, 0, 0, 0.0, math.nan))
 
         def build_ras():
-            part, q_blocks = partition_blocks(cond, side)
-            _, e_blocks = partition_blocks(exem, side)
-            ranking = rank_blocks(q_blocks, e_blocks, k, lam=lam)
-            return ranking, block_attention(part, cond, exem, ranking, tau)
+            blocks = [partition_blocks(grid, block_side) for grid in (cond, exem)]
+            ranking = rank_blocks(*blocks, k, lam=lam)
+            return ranking, block_attention(cond, exem, ranking, tau)
 
         (ranking, ras), ras_peak, ras_ms = _traced(build_ras, repetitions)
 

@@ -10,13 +10,13 @@ every CLI run is byte-reproducible:
 
 dtype code 1 is float32 (ndim must be 3, a feature grid), dtype code 2 is
 uint32 (ndim must be 2, a label mask).  Files are rejected on bad magic,
-unknown dtype, wrong rank, payload length mismatch, or non-finite floats;
-each failure mode raises its own exception class so callers can map them to
-distinct exit codes.
+unknown dtype, wrong rank, payload length mismatch, or non-finite floats,
+each with a :class:`TensorFormatError` that names the failure.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -30,27 +30,7 @@ _HEADER = struct.Struct("<4sBB")
 
 
 class TensorFormatError(ValueError):
-    """Base class for malformed FTN1 files."""
-
-
-class BadMagicError(TensorFormatError):
-    pass
-
-
-class BadDtypeError(TensorFormatError):
-    pass
-
-
-class BadRankError(TensorFormatError):
-    pass
-
-
-class TruncatedPayloadError(TensorFormatError):
-    pass
-
-
-class NonFiniteError(TensorFormatError):
-    pass
+    """Malformed FTN1 file; the message names the failure."""
 
 
 class ValidationError(ValueError):
@@ -79,7 +59,7 @@ class FeatureGrid:
             raise ValidationError(f"feature grid dims must be positive, got {a.shape}")
         a = a.astype(np.float32, copy=False)
         if not np.isfinite(a).all():
-            raise NonFiniteError("feature grid contains NaN or Inf")
+            raise ValidationError("feature grid contains NaN or Inf")
         object.__setattr__(self, "data", _freeze(a))
 
     @property
@@ -141,7 +121,7 @@ def write_tensor(grid: FeatureGrid | LabelMask, path) -> None:
         code, dims = DTYPE_FLOAT32, grid.data.shape
         payload = grid.data.astype("<f4", copy=False)
         if not np.isfinite(payload).all():  # defensive; construction already checks
-            raise NonFiniteError("refusing to write non-finite feature grid")
+            raise ValidationError("refusing to write non-finite feature grid")
     elif isinstance(grid, LabelMask):
         code, dims = DTYPE_UINT32, grid.labels.shape
         payload = grid.labels.astype("<u4", copy=False)
@@ -156,39 +136,36 @@ def write_tensor(grid: FeatureGrid | LabelMask, path) -> None:
 def read_tensor(path) -> FeatureGrid | LabelMask:
     """Read an FTN1 file back into a :class:`FeatureGrid` or :class:`LabelMask`.
 
-    Raises a distinct :class:`TensorFormatError` subclass per failure mode:
-    bad magic, unknown dtype code, unsupported rank, payload length mismatch,
-    or non-finite float payload.
+    Raises :class:`TensorFormatError` on bad magic, unknown dtype code,
+    unsupported rank, payload length mismatch, or non-finite float payload.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size:
-        raise TruncatedPayloadError(f"{path}: file shorter than header")
+        raise TensorFormatError(f"{path}: file shorter than header")
     magic, code, ndim = _HEADER.unpack_from(raw)
     if magic != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}")
+        raise TensorFormatError(f"{path}: bad magic {magic!r}")
     if code not in (DTYPE_FLOAT32, DTYPE_UINT32):
-        raise BadDtypeError(f"{path}: unknown dtype code {code}")
+        raise TensorFormatError(f"{path}: unknown dtype code {code}")
     dims_end = _HEADER.size + 4 * ndim
     if len(raw) < dims_end:
-        raise TruncatedPayloadError(f"{path}: truncated dims")
+        raise TensorFormatError(f"{path}: truncated dims")
     dims = tuple(int(x) for x in np.frombuffer(raw, "<u4", count=ndim, offset=_HEADER.size))
     if code == DTYPE_FLOAT32 and ndim != 3:
-        raise BadRankError(f"{path}: float payload must be rank 3, got {ndim}")
+        raise TensorFormatError(f"{path}: float payload must be rank 3, got {ndim}")
     if code == DTYPE_UINT32 and ndim != 2:
-        raise BadRankError(f"{path}: uint payload must be rank 2, got {ndim}")
-    count = 1
-    for d in dims:
-        count *= d
+        raise TensorFormatError(f"{path}: uint payload must be rank 2, got {ndim}")
+    count = math.prod(dims)
     expected = dims_end + 4 * count
     if len(raw) != expected:
-        raise TruncatedPayloadError(
+        raise TensorFormatError(
             f"{path}: payload is {len(raw) - dims_end} bytes, expected {4 * count}"
         )
     if code == DTYPE_FLOAT32:
         data = np.frombuffer(raw, "<f4", count=count, offset=dims_end).reshape(dims)
         if not np.isfinite(data).all():
-            raise NonFiniteError(f"{path}: payload contains NaN or Inf")
+            raise TensorFormatError(f"{path}: payload contains NaN or Inf")
         return FeatureGrid(data.astype(np.float32))
     data = np.frombuffer(raw, "<u4", count=count, offset=dims_end).reshape(dims)
     return LabelMask(data.astype(np.uint32))
@@ -211,6 +188,6 @@ def l2_normalize_features(grid: FeatureGrid, epsilon: float = 1e-8) -> FeatureGr
     Zero vectors stay zero: the norm is guarded by ``epsilon`` instead of
     dividing by zero.  Idempotent within 1e-6.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValidationError("epsilon must be positive")
     return FeatureGrid(unit_rows(grid.data.astype(np.float64), epsilon).astype(np.float32))

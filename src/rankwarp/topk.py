@@ -44,6 +44,7 @@ class TopKProblem:
             raise ValidationError("scores must be finite")
         if self.k % 1 or not 1 <= self.k <= a.size:
             raise ValidationError(f"k={self.k} is not a whole count in 1..N={a.size}")
+        object.__setattr__(self, "k", int(self.k))
         if not (np.isfinite(self.lam) and self.lam > 0):
             raise ValidationError("lambda must be finite and positive")
         if self.max_iters < 1:
@@ -70,10 +71,10 @@ class SoftSelection:
 def hard_topk_oracle(scores: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask of the k largest scores, ties broken toward the lower index."""
     a = np.asarray(scores).reshape(-1)
-    if not 1 <= k <= a.size:
-        raise ValidationError(f"k={k} out of range for N={a.size}")
+    if k % 1 or not 1 <= k <= a.size:
+        raise ValidationError(f"k={k} is not a whole count in 1..N={a.size}")
     mask = np.zeros(a.size, dtype=bool)
-    mask[np.argsort(-a, kind="stable")[:k]] = True
+    mask[np.argsort(-a, kind="stable")[: int(k)]] = True
     return mask
 
 

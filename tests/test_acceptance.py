@@ -140,7 +140,7 @@ def test_03_gradcheck_command_passes(capsys):
 def test_04_complexity_scaling(capsys):
     sizes = [(32, 32, 8), (64, 64, 8), (128, 128, 8)]
     # the check reads peaks and counts only, so no timed builds
-    records = run_bench(sizes, block_area=4, k=3, repetitions=0)
+    records = run_bench(sizes, block_side=2, k=3, repetitions=0)
     ras = {r.sites: r for r in records if r.method == "ras"}
     dense = {r.sites: r for r in records if r.method == "dense"}
     lengths = [1024, 4096, 16384]
@@ -179,13 +179,13 @@ def test_04_complexity_scaling(capsys):
 def test_05_self_alignment_is_identity(capsys):
     rng = np.random.default_rng(0)
     grid = FeatureGrid(rng.standard_normal((32, 32, 8)).astype(np.float32))
-    part, blocks = partition_blocks(grid, 2)
+    blocks = partition_blocks(grid, 2)
     identity = True
     worst_linf = 0.0
     worst_cycle = 0.0
     for k in (1, 3):
         ranking = rank_blocks(blocks, blocks, k)
-        corr = block_attention(part, grid, grid, ranking, 0.002)
+        corr = block_attention(grid, grid, ranking, 0.002)
         warped = warp(corr, grid)
         best = corr.links[corr.site_blocks(), corr.weights.argmax(axis=1)]
         identity &= bool(np.array_equal(best, np.arange(grid.site_count)))
@@ -211,10 +211,10 @@ def test_06_block_shift_recovery(capsys):
     exem = FeatureGrid(np.roll(cond.data, (4, 6), axis=(0, 1)))
     query = l2_normalize_features(cond)
     target = l2_normalize_features(exem)
-    part, q_blocks = partition_blocks(query, 2)
-    _, e_blocks = partition_blocks(target, 2)
+    q_blocks = partition_blocks(query, 2)
+    e_blocks = partition_blocks(target, 2)
     ranking = rank_blocks(q_blocks, e_blocks, 1)
-    corr = block_attention(part, query, target, ranking, 0.01)
+    corr = block_attention(query, target, ranking, 0.01)
     warped = warp(corr, exem)
     l1 = float(np.abs(warped.data.astype(np.float64) - cond.data).mean())
 
@@ -246,10 +246,10 @@ def test_07_matches_masked_dense_oracle(capsys):
     for h, w, d, side, k in cases:
         query = FeatureGrid(rng.standard_normal((h, w, d)).astype(np.float32))
         exem = FeatureGrid(rng.standard_normal((h, w, d)).astype(np.float32))
-        part, q_blocks = partition_blocks(query, side)
-        _, e_blocks = partition_blocks(exem, side)
+        q_blocks = partition_blocks(query, side)
+        e_blocks = partition_blocks(exem, side)
         ranking = rank_blocks(q_blocks, e_blocks, k)
-        corr = block_attention(part, query, exem, ranking, 0.07)
+        corr = block_attention(query, exem, ranking, 0.07)
         got = warp(corr, exem).data.astype(np.float64)
 
         cos = (
@@ -259,6 +259,7 @@ def test_07_matches_masked_dense_oracle(capsys):
         z = exem.vectors.astype(np.float64)
         expect = np.zeros((h * w, d))
         area = side * side
+        part = q_blocks.partition
         sites_of = part.feature_indices()
         indices = corr.links[corr.site_blocks()]
         for block in range(part.block_count):

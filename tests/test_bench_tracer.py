@@ -2,7 +2,8 @@
 
 ``benchmark/run.py`` replaces rankwarp functions by name and reads fields of
 their results; a rename in the library would only show up in a traced
-benchmark run.  This runs one small traced ``warp --mask`` + ``fuse`` job.
+benchmark run.  This runs one small traced ``warp --mask`` + ``fuse`` job and
+one small traced ``topk-grad`` batch.
 """
 
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rankwarp import cli
+from rankwarp import cli, topk
 from rankwarp.correspondence import partition_blocks
 from rankwarp.posenc import append_position, semantic_pe
 from rankwarp.tensors import FeatureGrid, LabelMask, l2_normalize_features, read_tensor, write_tensor
@@ -57,7 +58,7 @@ def test_install_spans_records_a_warp_and_fuse_job(tmp_path, monkeypatch):
     # through the dual scalar t they imply, gamma_j = sigmoid(z_j + t), sum to k
     channels = semantic_pe(read_tensor(mask))
     blocks = [
-        partition_blocks(append_position(l2_normalize_features(read_tensor(p)), channels), 2)[1]
+        partition_blocks(append_position(l2_normalize_features(read_tensor(p)), channels), 2)
         for p in (cond, exem)
     ]
     scores = blocks[0].normalized @ blocks[1].normalized.T
@@ -69,3 +70,41 @@ def test_install_spans_records_a_warp_and_fuse_job(tmp_path, monkeypatch):
     assert observed["correspondence.attention"]["entries"] == 64 * 3 * 4
     spans = {s["name"] for s in tracer.spans}
     assert {"fusion.fuse", "correspondence.warp", "cli.warp", "cli.fuse"} <= spans
+
+
+def test_install_spans_records_a_topk_grad_batch(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", os.environ.get("OPENBLAS_NUM_THREADS", "1"))
+    monkeypatch.syspath_prepend(str(BENCHMARK))
+    import run
+    from spans import Tracer
+
+    rng = np.random.default_rng(171)
+    scores = rng.uniform(-0.95, 0.95, (2, 40))
+    upstream = rng.standard_normal((2, 40))
+    original_solve = topk.sinkhorn_solve
+    tracer = Tracer()
+    try:
+        run.install_spans(tracer)
+        with tracer.recording("batch0"):
+            results = run.solve_problems(scores, upstream, 3, [1, 0])
+    finally:
+        tracer.close()
+    assert topk.sinkhorn_solve is original_solve
+    assert [i for i, _, _ in results] == [1, 0]
+
+    # each problem is one forward span, observed, then one backward span
+    spans = tracer.spans
+    assert [s["name"] for s in spans] == ["topk.forward", "topk.backward"] * 2
+    assert all(s["job"] == "batch0" and s["parent"] is None and s["end"] >= s["start"] for s in spans)
+    forward = [o for o in tracer.observed if o["name"] == "topk.forward"]
+    assert len(forward) == 2
+    config = cli.RunConfig()
+    for observed, (i, gamma, grad) in zip(forward, results):
+        problem = topk.TopKProblem(
+            scores[i], 3, lam=config.lam, max_iters=config.max_iters, tolerance=config.tolerance
+        )
+        plan, tape = topk.sinkhorn_solve(problem)
+        assert observed["iterations"] == [plan.iterations_used]
+        assert observed["tape_states"] == len(tape.states) >= 1
+        assert gamma.tobytes() == topk.selection_from_tape(problem, tape).gamma.tobytes()
+        assert grad.tobytes() == topk.soft_topk_backward(tape, upstream[i]).tobytes()

@@ -26,10 +26,10 @@ def _grid(rng, h, w, d):
 
 
 def _pipeline(query, exemplar, side, k, tau, lam=50.0, iters=100):
-    part, qf = partition_blocks(query, side)
-    _, ef = partition_blocks(exemplar, side)
+    qf = partition_blocks(query, side)
+    ef = partition_blocks(exemplar, side)
     ranking = rank_blocks(qf, ef, k, lam=lam, iters=iters)
-    return ranking, block_attention(part, query, exemplar, ranking, tau)
+    return ranking, block_attention(query, exemplar, ranking, tau)
 
 
 class TestPartition:
@@ -52,6 +52,15 @@ class TestPartition:
     def test_nonpositive_side_rejected(self):
         with pytest.raises(ValidationError):
             BlockPartition(4, 4, 0)
+        for side in (1.5, -2.0, np.nan, np.inf):
+            with pytest.raises(ValidationError):
+                BlockPartition(4, 4, side)
+        # a whole side given as a float is stored as that int
+        assert type(BlockPartition(4, 4, 2.0).block_side) is int
+        grid = _grid(np.random.default_rng(39), 4, 4, 2)
+        as_float, as_int = partition_blocks(grid, 2.0), partition_blocks(grid, 2)
+        assert as_float.partition == as_int.partition
+        assert as_float.normalized.tobytes() == as_int.normalized.tobytes()
 
     def test_side_one_is_identity(self):
         part = BlockPartition(3, 5, 1)
@@ -66,21 +75,22 @@ class TestPartition:
         h, w, d = 6, 4, 3
         data = np.zeros((h, w, d), dtype=np.float32)
         data[:, :, 0] = np.arange(h * w).reshape(h, w)
-        part, feats = partition_blocks(FeatureGrid(data), 2)
+        feats = partition_blocks(FeatureGrid(data), 2)
+        part = feats.partition
         got = feats.normalized.reshape(part.block_count, part.block_area, d)[:, :, 0]
         rows = part.feature_indices().astype(np.float64)
         assert np.array_equal(got, rows / np.linalg.norm(rows, axis=1, keepdims=True))
 
     def test_normalized_rows_are_unit(self):
         rng = np.random.default_rng(40)
-        _, feats = partition_blocks(_grid(rng, 8, 8, 5), 4)
+        feats = partition_blocks(_grid(rng, 8, 8, 5), 4)
         norms = np.linalg.norm(feats.normalized, axis=1)
         assert np.abs(norms - 1.0).max() < 1e-12
 
     def test_zero_block_normalizes_to_zero(self):
         data = np.zeros((2, 4, 3), dtype=np.float32)
         data[:, 2:, :] = 1.0
-        _, feats = partition_blocks(FeatureGrid(data), 2)
+        feats = partition_blocks(FeatureGrid(data), 2)
         assert np.array_equal(feats.normalized[0], np.zeros(12))
         assert abs(np.linalg.norm(feats.normalized[1]) - 1.0) < 1e-12
 
@@ -89,7 +99,7 @@ class TestRanking:
     def test_self_retrieval_top1(self):
         # a block's cosine with itself is exactly 1, every other is below
         rng = np.random.default_rng(41)
-        _, feats = partition_blocks(_grid(rng, 8, 8, 6), 2)
+        feats = partition_blocks(_grid(rng, 8, 8, 6), 2)
         ranking = rank_blocks(feats, feats, k=1)
         assert np.array_equal(ranking.candidates[:, 0], np.arange(16))
         assert np.abs(ranking.max_scores - 1.0).max() < 1e-12
@@ -101,22 +111,22 @@ class TestRanking:
         ex = np.zeros((n, 1, d), dtype=np.float32)
         ex[np.arange(n), 0, np.arange(d)] = 1.0
         perm = np.random.default_rng(42).permutation(n)
-        _, ef = partition_blocks(FeatureGrid(ex), 1)
-        _, qf = partition_blocks(FeatureGrid(ex[perm]), 1)
+        ef = partition_blocks(FeatureGrid(ex), 1)
+        qf = partition_blocks(FeatureGrid(ex[perm]), 1)
         ranking = rank_blocks(qf, ef, k=1, lam=50.0)
         assert np.array_equal(ranking.candidates[:, 0], perm)
 
     def test_k_equals_block_count(self):
         rng = np.random.default_rng(43)
-        _, feats = partition_blocks(_grid(rng, 4, 4, 3), 2)
+        feats = partition_blocks(_grid(rng, 4, 4, 3), 2)
         ranking = rank_blocks(feats, feats, k=4)
         assert np.array_equal(ranking.candidates, np.tile(np.arange(4), (4, 1)))
         assert np.array_equal(ranking.gammas, np.ones((4, 4)))
 
     def test_worker_count_does_not_change_output(self, ranking_cpus):
         rng = np.random.default_rng(44)
-        _, qf = partition_blocks(_grid(rng, 16, 16, 4), 2)
-        _, ef = partition_blocks(_grid(rng, 16, 16, 4), 2)
+        qf = partition_blocks(_grid(rng, 16, 16, 4), 2)
+        ef = partition_blocks(_grid(rng, 16, 16, 4), 2)
         ranking_cpus(1)
         base = rank_blocks(qf, ef, k=3)
         ranking_cpus(2)
@@ -129,8 +139,8 @@ class TestRanking:
         # 576 query blocks: 37-row chunks on two threads (19 rows each),
         # 256-row chunks on two threads (128 rows each), and one serial chunk
         rng = np.random.default_rng(47)
-        _, qf = partition_blocks(_grid(rng, 48, 48, 3), 2)
-        _, ef = partition_blocks(_grid(rng, 48, 48, 3), 2)
+        qf = partition_blocks(_grid(rng, 48, 48, 3), 2)
+        ef = partition_blocks(_grid(rng, 48, 48, 3), 2)
         monkeypatch.setattr(correspondence, "_cpus", lambda: 2)
         fields = ("candidates", "gammas", "max_scores", "iterations", "marginal_errors")
         outputs = []
@@ -147,7 +157,7 @@ class TestRanking:
         monkeypatch.setattr(correspondence, "ThreadPoolExecutor", no_pool)
         monkeypatch.setattr(correspondence, "_cpus", lambda: 64)
         blocks = 2 * correspondence._CHUNK - 1
-        _, feats = partition_blocks(_grid(np.random.default_rng(48), 1, blocks, 2), 1)
+        feats = partition_blocks(_grid(np.random.default_rng(48), 1, blocks, 2), 1)
         assert rank_blocks(feats, feats, k=2).candidates.shape == (blocks, 2)
 
     def test_pool_takes_one_thread_per_cpu_from_two_chunks(self, monkeypatch):
@@ -160,7 +170,7 @@ class TestRanking:
 
         monkeypatch.setattr(correspondence, "ThreadPoolExecutor", Recording)
         monkeypatch.setattr(correspondence, "_cpus", lambda: 2)
-        _, feats = partition_blocks(_grid(np.random.default_rng(49), 2, correspondence._CHUNK, 2), 1)
+        feats = partition_blocks(_grid(np.random.default_rng(49), 2, correspondence._CHUNK, 2), 1)
         rank_blocks(feats, feats, k=2)
         assert sizes == [2]
 
@@ -168,8 +178,8 @@ class TestRanking:
         # 1024 query blocks at b=4: two threads share one chunk's rows, so the
         # traced peak, and check 4's slope, stay at the serial figure
         rng = np.random.default_rng(50)
-        _, qf = partition_blocks(_grid(rng, 64, 64, 8), 2)
-        _, ef = partition_blocks(_grid(rng, 64, 64, 8), 2)
+        qf = partition_blocks(_grid(rng, 64, 64, 8), 2)
+        ef = partition_blocks(_grid(rng, 64, 64, 8), 2)
         peaks = []
         for cpus in (1, 2):
             monkeypatch.setattr(correspondence, "_cpus", lambda: cpus)
@@ -183,30 +193,37 @@ class TestRanking:
 
     def test_k_out_of_range(self):
         rng = np.random.default_rng(45)
-        _, feats = partition_blocks(_grid(rng, 4, 4, 2), 2)
+        feats = partition_blocks(_grid(rng, 4, 4, 2), 2)
         with pytest.raises(ValidationError):
             rank_blocks(feats, feats, k=0)
         with pytest.raises(ValidationError):
             rank_blocks(feats, feats, k=5)
+        for k in (1.5, np.nan):
+            with pytest.raises(ValidationError):
+                rank_blocks(feats, feats, k=k)
+        # a whole count given as a float ranks as the int does
+        as_float, as_int = rank_blocks(feats, feats, k=2.0), rank_blocks(feats, feats, k=2)
+        assert as_float.candidates.tobytes() == as_int.candidates.tobytes()
+        assert as_float.gammas.tobytes() == as_int.gammas.tobytes()
 
     def test_block_dim_mismatch(self):
         rng = np.random.default_rng(46)
-        _, a = partition_blocks(_grid(rng, 4, 4, 2), 2)
-        _, b = partition_blocks(_grid(rng, 4, 4, 3), 2)
+        a = partition_blocks(_grid(rng, 4, 4, 2), 2)
+        b = partition_blocks(_grid(rng, 4, 4, 3), 2)
         with pytest.raises(ValidationError):
             rank_blocks(a, b, k=1)
 
     def test_scores_kept_only_for_small_problems(self):
         # the full score matrix is never kept; only the count of scored pairs
         rng = np.random.default_rng(47)
-        _, big = partition_blocks(_grid(rng, 48, 48, 2), 2)
+        big = partition_blocks(_grid(rng, 48, 48, 2), 2)
         ranking = rank_blocks(big, big, k=1, iters=5)
         assert ranking.scored_pairs == 576 * 576
 
     def test_candidate_rows_ascending(self):
         rng = np.random.default_rng(48)
-        _, qf = partition_blocks(_grid(rng, 8, 8, 3), 2)
-        _, ef = partition_blocks(_grid(rng, 8, 8, 3), 2)
+        qf = partition_blocks(_grid(rng, 8, 8, 3), 2)
+        ef = partition_blocks(_grid(rng, 8, 8, 3), 2)
         cand = rank_blocks(qf, ef, k=5).candidates
         assert (np.diff(cand, axis=1) > 0).all()
 
@@ -217,10 +234,11 @@ class TestAttention:
         rng = np.random.default_rng(50)
         query, exemplar = _grid(rng, 4, 4, 5), _grid(rng, 4, 4, 5)
         tau = 0.3
-        part, qf = partition_blocks(query, 2)
-        e_part, ef = partition_blocks(exemplar, 2)
+        qf = partition_blocks(query, 2)
+        ef = partition_blocks(exemplar, 2)
+        part, e_part = qf.partition, ef.partition
         ranking = rank_blocks(qf, ef, k=2)
-        corr = block_attention(part, query, exemplar, ranking, tau)
+        corr = block_attention(query, exemplar, ranking, tau)
 
         qn = query.vectors.astype(np.float64)
         qn /= np.linalg.norm(qn, axis=1, keepdims=True)
@@ -254,9 +272,9 @@ class TestAttention:
         # row normalization, leaving a plain softmax over candidate features
         rng = np.random.default_rng(53)
         grid = _grid(rng, 6, 6, 4)
-        part, feats = partition_blocks(grid, 2)
+        feats = partition_blocks(grid, 2)
         ranking = rank_blocks(feats, feats, k=9)  # k == N, all gammas exactly 1
-        corr = block_attention(part, grid, grid, ranking, tau=0.2)
+        corr = block_attention(grid, grid, ranking, tau=0.2)
         qn = grid.vectors.astype(np.float64)
         qn /= np.linalg.norm(qn, axis=1, keepdims=True)
         indices = corr.links[corr.site_blocks()]
@@ -271,10 +289,10 @@ class TestAttention:
         # must not notice, or the sparsity claim is fiction
         rng = np.random.default_rng(54)
         query, exemplar = _grid(rng, 8, 8, 4), _grid(rng, 8, 8, 4)
-        part, qf = partition_blocks(query, 2)
-        _, ef = partition_blocks(exemplar, 2)
+        qf = partition_blocks(query, 2)
+        ef = partition_blocks(exemplar, 2)
         ranking = rank_blocks(qf, ef, k=2)
-        clean = block_attention(part, query, exemplar, ranking, tau=0.1)
+        clean = block_attention(query, exemplar, ranking, tau=0.1)
 
         retrieved = np.zeros(16, dtype=bool)
         retrieved[np.unique(ranking.candidates)] = True
@@ -284,24 +302,24 @@ class TestAttention:
         doctored = tiles.reshape(4, 4, 2, 2, 4).transpose(0, 2, 1, 3, 4).reshape(8, 8, 4)
         if retrieved.all():
             pytest.skip("every block was retrieved; nothing to doctor")
-        dirty = block_attention(part, query, FeatureGrid(doctored), ranking, tau=0.1)
+        dirty = block_attention(query, FeatureGrid(doctored), ranking, tau=0.1)
         assert clean.weights.tobytes() == dirty.weights.tobytes()
         assert clean.links.tobytes() == dirty.links.tobytes()
 
     def test_validation(self):
         rng = np.random.default_rng(55)
         query, exemplar = _grid(rng, 4, 4, 2), _grid(rng, 4, 4, 2)
-        part, qf = partition_blocks(query, 2)
-        _, ef = partition_blocks(exemplar, 2)
+        qf = partition_blocks(query, 2)
+        ef = partition_blocks(exemplar, 2)
         ranking = rank_blocks(qf, ef, k=1)
         with pytest.raises(ValidationError):
-            block_attention(part, query, exemplar, ranking, tau=0.0)
+            block_attention(query, exemplar, ranking, tau=0.0)
         with pytest.raises(ValidationError):
-            block_attention(BlockPartition(4, 4, 4), query, exemplar, ranking, tau=0.1)
+            block_attention(query, exemplar, ranking, tau=np.nan)
         with pytest.raises(ValidationError):
-            block_attention(part, query, _grid(rng, 4, 4, 3), ranking, tau=0.1)
+            block_attention(query, _grid(rng, 4, 4, 3), ranking, tau=0.1)
         with pytest.raises(ValidationError):
-            block_attention(part, query, _grid(rng, 8, 8, 2), ranking, tau=0.1)
+            block_attention(query, _grid(rng, 8, 8, 2), ranking, tau=0.1)
 
 
 class TestNormalizerGuard:
@@ -314,10 +332,10 @@ class TestNormalizerGuard:
         data[0, 0, 1] = 5e-9  # site 0, and with it block 0, has norm 5e-9
         grid = FeatureGrid(data)
         assert np.array_equal(l2_normalize_features(grid).data[0, 0], np.zeros(3))
-        part, feats = partition_blocks(grid, 2)
+        feats = partition_blocks(grid, 2)
         assert np.array_equal(feats.normalized[0], np.zeros(12))
         ranking = rank_blocks(feats, feats, k=4)  # k == N: every gamma is exactly 1
-        corr = block_attention(part, grid, grid, ranking, tau=0.1)
+        corr = block_attention(grid, grid, ranking, tau=0.1)
         # site 0 has cosine 0 with every exemplar site, and every query site
         # has cosine 0 with exemplar sites 0, 1, 4 and 5
         assert np.array_equal(corr.weights[0], np.full(16, 1 / 16, dtype=np.float32))
@@ -334,6 +352,15 @@ class TestDenseBaseline:
         assert weights.dtype == np.float32
         sums = weights.astype(np.float64).sum(axis=1)
         assert np.abs(sums - 1.0).max() < 1e-5
+
+    def test_validation(self):
+        rng = np.random.default_rng(62)
+        query, exemplar = _grid(rng, 4, 4, 2), _grid(rng, 4, 4, 2)
+        for tau in (0.0, -1.0, np.nan):
+            with pytest.raises(ValidationError):
+                dense_correspondence_baseline(query, exemplar, tau)
+        with pytest.raises(ValidationError):
+            dense_correspondence_baseline(query, _grid(rng, 4, 4, 3), 0.1)
 
     def test_self_correspondence_peaks_on_diagonal(self):
         rng = np.random.default_rng(61)

@@ -19,15 +19,15 @@ def _grid(rng, h, w, d):
 
 
 def _ranking(rng, h=8, w=8, d=4, side=2, k=2):
-    _, qf = partition_blocks(_grid(rng, h, w, d), side)
-    _, ef = partition_blocks(_grid(rng, h, w, d), side)
+    qf = partition_blocks(_grid(rng, h, w, d), side)
+    ef = partition_blocks(_grid(rng, h, w, d), side)
     return rank_blocks(qf, ef, k)
 
 
 class TestConfidenceMap:
     def test_self_match_is_full_confidence(self):
         rng = np.random.default_rng(100)
-        _, feats = partition_blocks(_grid(rng, 8, 8, 5), 2)
+        feats = partition_blocks(_grid(rng, 8, 8, 5), 2)
         cmap = confidence_map(rank_blocks(feats, feats, k=1))
         assert cmap.data.shape == (4, 4)
         assert np.abs(cmap.data - 1.0).max() < 1e-6
@@ -37,8 +37,8 @@ class TestConfidenceMap:
         # 0 or -1, so the clamped peak is exactly 0
         data = np.zeros((2, 2, 4), dtype=np.float32)
         data.reshape(4, 4)[np.arange(4), np.arange(4)] = 1.0
-        _, qf = partition_blocks(FeatureGrid(data), 1)
-        _, ef = partition_blocks(FeatureGrid(-data), 1)
+        qf = partition_blocks(FeatureGrid(data), 1)
+        ef = partition_blocks(FeatureGrid(-data), 1)
         cmap = confidence_map(rank_blocks(qf, ef, k=1))
         assert cmap.data.max() == 0.0
 

@@ -34,10 +34,10 @@ def _grid(rng, h, w, d):
 
 def _sparse(rng, h, w, d, side, k, tau):
     query, exemplar = _grid(rng, h, w, d), _grid(rng, h, w, d)
-    part, qf = partition_blocks(query, side)
-    _, ef = partition_blocks(exemplar, side)
+    qf = partition_blocks(query, side)
+    ef = partition_blocks(exemplar, side)
     ranking = rank_blocks(qf, ef, k)
-    return block_attention(part, query, exemplar, ranking, tau), exemplar
+    return block_attention(query, exemplar, ranking, tau), exemplar
 
 
 def _cycle_oracle(corr, exemplar):
@@ -190,7 +190,7 @@ class TestCycle:
 
 class TestBench:
     def test_entry_counts_exact(self):
-        records = run_bench([(8, 8, 2), (16, 16, 2)], block_area=4, k=3, repetitions=1)
+        records = run_bench([(8, 8, 2), (16, 16, 2)], block_side=2, k=3, repetitions=1)
         by_key = {(r.method, r.sites): r for r in records}
         assert by_key[("dense", 64)].entries == 64 * 64
         assert by_key[("dense", 256)].entries == 256 * 256
@@ -200,38 +200,38 @@ class TestBench:
         assert by_key[("ras", 256)].ranking_scores == 64 * 64
 
     def test_doubling_grid_scales_entries_4x_scores_16x(self):
-        records = run_bench([(8, 8, 2), (16, 16, 2)], block_area=4, k=3)
+        records = run_bench([(8, 8, 2), (16, 16, 2)], block_side=2, k=3)
         small, big = [r for r in records if r.method == "ras"]
         assert big.entries == 4 * small.entries
         assert big.ranking_scores == 16 * small.ranking_scores
 
     def test_single_block_equals_dense_entry_count(self):
-        records = run_bench([(8, 8, 2)], block_area=64, k=1)
+        records = run_bench([(8, 8, 2)], block_side=8, k=1)
         by_method = {r.method: r for r in records}
         assert by_method["ras"].entries == by_method["dense"].entries == 64 * 64
 
     def test_record_order_and_methods(self):
-        records = run_bench([(8, 8, 2), (16, 16, 2)], block_area=4, k=1)
+        records = run_bench([(8, 8, 2), (16, 16, 2)], block_side=2, k=1)
         assert [r.method for r in records] == ["dense", "ras", "dense", "ras"]
         assert [r.sites for r in records] == [64, 64, 256, 256]
 
     def test_deterministic_apart_from_timing(self):
         key = lambda r: (r.method, r.sites, r.block_area, r.k, r.entries,
                          r.ranking_scores, r.warp_l1)
-        a = run_bench([(8, 8, 3)], block_area=4, k=2)
-        b = run_bench([(8, 8, 3)], block_area=4, k=2)
+        a = run_bench([(8, 8, 3)], block_side=2, k=2)
+        b = run_bench([(8, 8, 3)], block_side=2, k=2)
         assert [key(r) for r in a] == [key(r) for r in b]
 
     def test_parallel_mode_identical_counts_and_gap(self, ranking_cpus):
         key = lambda r: (r.method, r.entries, r.ranking_scores, r.warp_l1)
         ranking_cpus(1)
-        serial = run_bench([(16, 16, 2)], block_area=4, k=2)
+        serial = run_bench([(16, 16, 2)], block_side=2, k=2)
         ranking_cpus(2)
-        parallel = run_bench([(16, 16, 2)], block_area=4, k=2)
+        parallel = run_bench([(16, 16, 2)], block_side=2, k=2)
         assert [key(r) for r in serial] == [key(r) for r in parallel]
 
     def test_dense_reference_gap_is_zero_for_itself(self):
-        records = run_bench([(8, 8, 2)], block_area=4, k=2)
+        records = run_bench([(8, 8, 2)], block_side=2, k=2)
         dense = [r for r in records if r.method == "dense"][0]
         ras = [r for r in records if r.method == "ras"][0]
         assert dense.warp_l1 == 0.0
@@ -258,8 +258,9 @@ class TestBench:
         assert peak >= 8 << 20 and math.isnan(ms)
 
     def test_non_square_block_area_rejected(self):
+        # a block of area 6 has a side of sqrt(6), not a whole number
         with pytest.raises(ValidationError):
-            run_bench([(8, 8, 2)], block_area=6, k=1)
+            run_bench([(8, 8, 2)], block_side=6 ** 0.5, k=1)
 
     def test_csv_rendering(self):
         records = [
@@ -274,7 +275,7 @@ class TestBench:
         assert text.endswith("\n")
 
     def test_csv_matches_bench_output(self):
-        records = run_bench([(8, 8, 2)], block_area=4, k=1)
+        records = run_bench([(8, 8, 2)], block_side=2, k=1)
         lines = render_csv(records).strip().split("\n")
         assert len(lines) == 3
         for line, record in zip(lines[1:], records):

@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from rankwarp.tensors import (
-    BadDtypeError,
-    BadMagicError,
-    BadRankError,
     FeatureGrid,
     LabelMask,
-    NonFiniteError,
-    TruncatedPayloadError,
+    TensorFormatError,
     ValidationError,
     l2_normalize_features,
     read_tensor,
@@ -66,20 +62,20 @@ class TestRejection:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.ftn"
         path.write_bytes(b"XXXX" + bytes([1, 3]) + b"\x00" * 16)
-        with pytest.raises(BadMagicError):
+        with pytest.raises(TensorFormatError, match="bad magic"):
             read_tensor(path)
 
     def test_bad_dtype_code(self, tmp_path):
         path = tmp_path / "x.ftn"
         path.write_bytes(b"FTN1" + bytes([7, 3]) + b"\x00" * 16)
-        with pytest.raises(BadDtypeError):
+        with pytest.raises(TensorFormatError, match="unknown dtype code 7"):
             read_tensor(path)
 
     def test_bad_rank(self, tmp_path):
         path = tmp_path / "x.ftn"
         dims = np.array([2, 2], dtype="<u4").tobytes()
         path.write_bytes(b"FTN1" + bytes([1, 2]) + dims + b"\x00" * 16)
-        with pytest.raises(BadRankError):
+        with pytest.raises(TensorFormatError, match="float payload must be rank 3, got 2"):
             read_tensor(path)
 
     def test_truncated_payload(self, tmp_path):
@@ -87,7 +83,7 @@ class TestRejection:
         write_tensor(FeatureGrid(np.ones((2, 2, 2), dtype=np.float32)), good)
         bad = tmp_path / "bad.ftn"
         bad.write_bytes(good.read_bytes()[:-3])
-        with pytest.raises(TruncatedPayloadError):
+        with pytest.raises(TensorFormatError, match="payload is 29 bytes, expected 32"):
             read_tensor(bad)
 
     def test_trailing_garbage(self, tmp_path):
@@ -95,7 +91,7 @@ class TestRejection:
         write_tensor(FeatureGrid(np.ones((2, 2, 2), dtype=np.float32)), good)
         bad = tmp_path / "bad.ftn"
         bad.write_bytes(good.read_bytes() + b"\x01")
-        with pytest.raises(TruncatedPayloadError):
+        with pytest.raises(TensorFormatError, match="payload is 33 bytes, expected 32"):
             read_tensor(bad)
 
     def test_nonfinite_payload(self, tmp_path):
@@ -103,13 +99,13 @@ class TestRejection:
         dims = np.array([1, 1, 1], dtype="<u4").tobytes()
         payload = np.array([np.nan], dtype="<f4").tobytes()
         path.write_bytes(b"FTN1" + bytes([1, 3]) + dims + payload)
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(TensorFormatError, match="payload contains NaN or Inf"):
             read_tensor(path)
 
     def test_nan_rejected_at_construction(self):
         data = np.ones((2, 2, 1), dtype=np.float32)
         data[0, 0, 0] = np.nan
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(ValidationError, match="feature grid contains NaN or Inf"):
             FeatureGrid(data)
 
     def test_bad_shapes(self):
@@ -148,6 +144,8 @@ class TestNormalize:
         grid = FeatureGrid(np.ones((1, 1, 1), dtype=np.float32))
         with pytest.raises(ValidationError):
             l2_normalize_features(grid, epsilon=0.0)
+        with pytest.raises(ValidationError):
+            l2_normalize_features(grid, epsilon=np.nan)
 
 
 class TestImmutability:

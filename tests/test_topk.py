@@ -34,6 +34,10 @@ class TestHardOracle:
     def test_k_out_of_range(self):
         with pytest.raises(ValidationError):
             hard_topk_oracle(np.array([0.1]), 2)
+        with pytest.raises(ValidationError):
+            hard_topk_oracle(np.array([0.1, 0.3, 0.2]), 1.5)
+        # a whole count given as a float selects as the int does
+        assert hard_topk_oracle(np.array([0.1, 0.3, 0.2]), 2.0).tolist() == [False, True, True]
 
 
 class TestProblem:
@@ -46,6 +50,15 @@ class TestProblem:
             TopKProblem(np.array([0.1]), k=0)
         with pytest.raises(ValidationError):
             TopKProblem(np.array([0.5, 0.1, -0.2]), k=1.5)
+        for k in (np.nan, np.inf):
+            with pytest.raises(ValidationError):
+                TopKProblem(np.array([0.5, 0.1, -0.2]), k=k)
+        # a whole count given as a float is stored as that int
+        scores = np.array([0.5, 0.1, -0.2, 0.3])
+        whole = TopKProblem(scores, k=3.0)
+        assert type(whole.k) is int
+        assert soft_topk(whole).hard.tolist() == [True, True, False, True]
+        assert soft_topk(whole).gamma.tobytes() == soft_topk(TopKProblem(scores, k=3)).gamma.tobytes()
         with pytest.raises(ValidationError):
             TopKProblem(np.array([0.1]), k=1, lam=-1.0)
         with pytest.raises(ValidationError):
