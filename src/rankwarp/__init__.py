@@ -19,13 +19,7 @@ from .correspondence import (
     rank_blocks,
     warp,
 )
-from .fusion import (
-    ConfidenceMap,
-    MultiChannelMap,
-    confidence_map,
-    fuse,
-    fuse_multichannel,
-)
+from .fusion import ConfidenceMap, confidence_map, fuse, fuse_multichannel
 from .metrics import (
     BenchRecord,
     consistency_loss,

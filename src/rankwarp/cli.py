@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correspondence import SparseCorrespondence, block_attention, partition_blocks, rank_blocks, warp
-from .fusion import ConfidenceMap, MultiChannelMap, confidence_map, fuse, fuse_multichannel
+from .fusion import ConfidenceMap, confidence_map, fuse, fuse_multichannel
 from .metrics import render_csv, run_bench
 from .posenc import append_position, semantic_pe
 from .tensors import (
@@ -273,9 +273,7 @@ def cmd_warp(args) -> int:
 
     os.makedirs(args.out_dir, exist_ok=True)
     write_tensor(warped, os.path.join(args.out_dir, "warped.ftn"))
-    write_tensor(
-        FeatureGrid(cmap.data[:, :, None]), os.path.join(args.out_dir, "cmap.ftn")
-    )
+    write_tensor(cmap, os.path.join(args.out_dir, "cmap.ftn"))
     _write_correspondence_csv(os.path.join(args.out_dir, "correspondence.csv"), corr)
     return EXIT_OK
 
@@ -330,24 +328,21 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_spe(args) -> int:
-    channels = semantic_pe(_read_mask(args.mask))
-    write_tensor(FeatureGrid(channels.data), args.out)
+    write_tensor(semantic_pe(_read_mask(args.mask)), args.out)
     return EXIT_OK
 
 
 def cmd_fuse(args) -> int:
     cond = _read_grid(args.conditional)
     warped = _read_grid(args.warped)
-    cgrid = _read_grid(args.cmap)
-    if cgrid.channels == 1:
-        fused = fuse(cond, warped, ConfidenceMap(cgrid.data[:, :, 0]))
-    elif cgrid.channels == cond.channels:
-        fused = fuse_multichannel(
-            cond, warped, MultiChannelMap(np.moveaxis(cgrid.data, 2, 0))
-        )
+    cmap = ConfidenceMap(_read_grid(args.cmap).data)
+    if cmap.channels == 1:
+        fused = fuse(cond, warped, cmap)
+    elif cmap.channels == cond.channels:
+        fused = fuse_multichannel(cond, warped, cmap)
     else:
         raise ValidationError(
-            f"confidence map has {cgrid.channels} channels; expected 1 or {cond.channels}"
+            f"confidence map has {cmap.channels} channels; expected 1 or {cond.channels}"
         )
     write_tensor(fused, args.out)
     return EXIT_OK

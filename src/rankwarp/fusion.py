@@ -2,20 +2,20 @@
 
 A query block's confidence is the peak cosine between its block vector and
 every exemplar block, clamped to [0, 1]: anti-correlation means the match is
-unreliable, not negatively reliable.  The block-level map is upsampled to the
-pixel grid by nearest neighbor and blended convexly per site:
+unreliable, not negatively reliable.  A confidence map is a feature grid of
+blocks_h x blocks_w x planes values in [0, 1], in the tensor file's layout;
+:func:`confidence_map` builds one plane.  The map is upsampled to the pixel
+grid by nearest neighbor and blended convexly per site:
 
     fused = conditional * (1 - c) + warped * c
 
 so c = 0 keeps the conditional input bit-exactly and c = 1 keeps the warped
-exemplar bit-exactly.  A multi-channel variant accepts one confidence plane
-per feature channel (produced elsewhere); with every plane equal it reduces
-exactly to the single-channel blend.
+exemplar bit-exactly.  A map with one plane per feature channel (produced
+elsewhere) blends each channel by its own plane; with every plane equal it
+reduces exactly to the one-plane blend.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,69 +23,31 @@ from .correspondence import BlockRanking
 from .tensors import FeatureGrid, ValidationError
 
 
-def _freeze_unit_range(a: np.ndarray, what: str) -> np.ndarray:
-    a = np.ascontiguousarray(a.astype(np.float32, copy=False))
-    if a.size == 0:
-        raise ValidationError(f"{what} must be non-empty")
-    if not np.isfinite(a).all() or a.min() < 0.0 or a.max() > 1.0:
-        raise ValidationError(f"{what} values must lie in [0, 1]")
-    a.flags.writeable = False
-    return a
-
-
-@dataclass(frozen=True)
-class ConfidenceMap:
-    """blocks_h x blocks_w confidence values in [0, 1]."""
-
-    data: np.ndarray
+class ConfidenceMap(FeatureGrid):
+    """blocks_h x blocks_w x planes confidence values in [0, 1]."""
 
     def __post_init__(self) -> None:
-        if np.asarray(self.data).ndim != 2:
-            raise ValidationError("confidence map must be 2-D")
-        object.__setattr__(self, "data", _freeze_unit_range(np.asarray(self.data), "confidence"))
-
-    @property
-    def blocks_h(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def blocks_w(self) -> int:
-        return self.data.shape[1]
-
-
-@dataclass(frozen=True)
-class MultiChannelMap:
-    """Per-channel confidence planes, C x blocks_h x blocks_w in [0, 1]."""
-
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        if np.asarray(self.data).ndim != 3:
-            raise ValidationError("multi-channel map must be C x Hb x Wb")
-        object.__setattr__(self, "data", _freeze_unit_range(np.asarray(self.data), "confidence"))
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[0]
+        super().__post_init__()
+        if self.data.min() < 0.0 or self.data.max() > 1.0:
+            raise ValidationError("confidence values must lie in [0, 1]")
 
 
 def confidence_map(ranking: BlockRanking) -> ConfidenceMap:
-    """Peak block correlation per query block, clamped to [0, 1]."""
+    """Peak block correlation per query block, clamped to [0, 1], as one plane."""
     part = ranking.partition
     values = np.clip(ranking.max_scores, 0.0, 1.0)
-    return ConfidenceMap(values.reshape(part.blocks_h, part.blocks_w).astype(np.float32))
+    return ConfidenceMap(values.reshape(part.blocks_h, part.blocks_w, 1).astype(np.float32))
 
 
-def _blend(conditional: FeatureGrid, warped: FeatureGrid, planes: np.ndarray) -> FeatureGrid:
-    """Blend per site with a (C or 1, Hb, Wb) stack upsampled by nearest neighbor."""
+def _blend(conditional: FeatureGrid, warped: FeatureGrid, cmap: ConfidenceMap) -> FeatureGrid:
+    """Blend per site with the map upsampled by nearest neighbor, broadcast over the channels."""
     if conditional.data.shape != warped.data.shape:
         raise ValidationError("conditional and warped grids must share a shape")
-    _, bh, bw = planes.shape
+    bh, bw = cmap.height, cmap.width
     height, width = conditional.height, conditional.width
     if height % bh or width % bw:
         raise ValidationError(f"cannot upsample {bh}x{bw} map to {height}x{width}")
-    c = np.repeat(np.repeat(planes.astype(np.float64), height // bh, axis=1), width // bw, axis=2)
-    c = np.moveaxis(c, 0, 2)  # (H, W, C or 1), broadcast over the channels
+    c = np.repeat(np.repeat(cmap.data.astype(np.float64), height // bh, axis=0), width // bw, axis=1)
     x = conditional.data.astype(np.float64)
     w = warped.data.astype(np.float64)
     # float64 blend, rounded once: keeps every output inside [min, max] of the
@@ -95,15 +57,17 @@ def _blend(conditional: FeatureGrid, warped: FeatureGrid, planes: np.ndarray) ->
 
 def fuse(conditional: FeatureGrid, warped: FeatureGrid, cmap: ConfidenceMap) -> FeatureGrid:
     """Blend per site: conditional * (1 - c) + warped * c, c from the covering block."""
-    return _blend(conditional, warped, cmap.data[None])
+    if cmap.channels != 1:
+        raise ValidationError(f"map has {cmap.channels} planes, expected 1")
+    return _blend(conditional, warped, cmap)
 
 
 def fuse_multichannel(
-    conditional: FeatureGrid, warped: FeatureGrid, mmap: MultiChannelMap
+    conditional: FeatureGrid, warped: FeatureGrid, cmap: ConfidenceMap
 ) -> FeatureGrid:
     """Per-channel blend; a map with identical planes reduces to :func:`fuse` exactly."""
-    if mmap.channels != conditional.channels:
+    if cmap.channels != conditional.channels:
         raise ValidationError(
-            f"map has {mmap.channels} channels, grids have {conditional.channels}"
+            f"map has {cmap.channels} channels, grids have {conditional.channels}"
         )
-    return _blend(conditional, warped, mmap.data)
+    return _blend(conditional, warped, cmap)

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correspondence import (
-    _TILE_BYTES, SparseCorrespondence, block_attention, partition_blocks, rank_blocks, warp,
+    _TILE_BYTES, BlockPartition, SparseCorrespondence, block_attention, partition_blocks, rank_blocks,
+    warp,
 )
 from .tensors import FeatureGrid, ValidationError, unit_rows
 
@@ -168,6 +169,8 @@ def run_bench(
     builds and leaves ``ms`` NaN; peaks and counts are unchanged.
     """
     block_area = block_side * block_side
+    for height, width, _ in sizes:  # a size that does not tile fails before any build
+        BlockPartition(height, width, block_side)
     records = []
     for height, width, depth in sizes:
         rng = np.random.default_rng([seed, height, width, depth])

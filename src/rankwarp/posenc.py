@@ -11,36 +11,20 @@ semantic encoding equal the vanilla ramp bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensors import FeatureGrid, LabelMask, ValidationError
 
 
-@dataclass(frozen=True)
-class PositionChannels:
-    """H x W x 2 float32 grid of (x_offset, y_offset), all values in [-1, 1]."""
-
-    data: np.ndarray
+class PositionChannels(FeatureGrid):
+    """H x W x 2 grid of (x_offset, y_offset), all values in [-1, 1]."""
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.data)
-        if a.ndim != 3 or a.shape[2] != 2:
-            raise ValidationError(f"position channels must be H x W x 2, got {a.shape}")
-        a = np.ascontiguousarray(a.astype(np.float32, copy=False))
-        if np.abs(a).max() > 1.0:
+        super().__post_init__()
+        if self.channels != 2:
+            raise ValidationError(f"position channels must be H x W x 2, got {self.data.shape}")
+        if np.abs(self.data).max() > 1.0:
             raise ValidationError("position values must lie in [-1, 1]")
-        a.flags.writeable = False
-        object.__setattr__(self, "data", a)
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
 
 
 def _ramp(idx: np.ndarray, lo: int, hi: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from rankwarp.correspondence import (
     rank_blocks,
     warp,
 )
-from rankwarp.fusion import ConfidenceMap, MultiChannelMap, fuse, fuse_multichannel
+from rankwarp.fusion import ConfidenceMap, fuse, fuse_multichannel
 from rankwarp.metrics import cycle_loss, run_bench
 from rankwarp.posenc import semantic_pe, vanilla_pe
 from rankwarp.tensors import (
@@ -320,8 +320,8 @@ def test_09_confidence_fusion_algebra(capsys):
     rng = np.random.default_rng(5)
     cond = FeatureGrid(rng.standard_normal((8, 8, 3)).astype(np.float32))
     warped = FeatureGrid(rng.standard_normal((8, 8, 3)).astype(np.float32))
-    zeros = ConfidenceMap(np.zeros((4, 4), dtype=np.float32))
-    ones = ConfidenceMap(np.ones((4, 4), dtype=np.float32))
+    zeros = ConfidenceMap(np.zeros((4, 4, 1), dtype=np.float32))
+    ones = ConfidenceMap(np.ones((4, 4, 1), dtype=np.float32))
     boundary_ok = (
         fuse(cond, warped, zeros).data.tobytes() == cond.data.tobytes()
         and fuse(cond, warped, ones).data.tobytes() == warped.data.tobytes()
@@ -331,14 +331,14 @@ def test_09_confidence_fusion_algebra(capsys):
     for _ in range(100):
         a = FeatureGrid(rng.standard_normal((8, 8, 3)).astype(np.float32))
         b = FeatureGrid(rng.standard_normal((8, 8, 3)).astype(np.float32))
-        cmap = ConfidenceMap(rng.uniform(0.0, 1.0, (4, 4)).astype(np.float32))
+        cmap = ConfidenceMap(rng.uniform(0.0, 1.0, (4, 4, 1)).astype(np.float32))
         fused = fuse(a, b, cmap).data
         low = np.minimum(a.data, b.data)
         high = np.maximum(a.data, b.data)
         convex_ok &= bool(((fused >= low) & (fused <= high)).all())
 
-    cmap = ConfidenceMap(rng.uniform(0.0, 1.0, (4, 4)).astype(np.float32))
-    stacked = MultiChannelMap(np.repeat(cmap.data[None, :, :], 3, axis=0))
+    cmap = ConfidenceMap(rng.uniform(0.0, 1.0, (4, 4, 1)).astype(np.float32))
+    stacked = ConfidenceMap(np.repeat(cmap.data, 3, axis=2))
     multi_ok = (
         fuse_multichannel(cond, warped, stacked).data.tobytes()
         == fuse(cond, warped, cmap).data.tobytes()

@@ -69,7 +69,15 @@ def test_install_spans_records_a_warp_and_fuse_job(tmp_path, monkeypatch):
         assert abs((1.0 / (1.0 + np.exp(-(row + t)))).sum() - 3) <= config.tolerance
     assert observed["correspondence.attention"]["entries"] == 64 * 3 * 4
     spans = {s["name"] for s in tracer.spans}
-    assert {"fusion.fuse", "correspondence.warp", "cli.warp", "cli.fuse"} <= spans
+    # every stage the job runs, each through the cli namespace run.py wraps
+    assert spans == {
+        "tensors.read", "tensors.normalize", "tensors.write",
+        "posenc.spe", "posenc.append",
+        "correspondence.partition", "correspondence.rank", "correspondence.attention",
+        "correspondence.warp",
+        "fusion.cmap", "fusion.fuse",
+        "cli.warp", "cli.fuse",
+    }
 
 
 def test_install_spans_records_a_topk_grad_batch(monkeypatch):

@@ -549,6 +549,18 @@ class TestFuseCommand:
         cmap = _write_grid(tmp_path / "cmap.ftn", np.full((2, 2, 2), 0.5))
         assert main(["fuse", cond, warped, cmap, str(tmp_path / "out.ftn")]) == 4
 
+    def test_out_of_range_map_rejected(self, tmp_path, capsys):
+        rng = np.random.default_rng(164)
+        cond = _write_grid(tmp_path / "cond.ftn", _random_grid(rng, 4, 4, 3))
+        warped = _write_grid(tmp_path / "warped.ftn", _random_grid(rng, 4, 4, 3))
+        out = tmp_path / "out.ftn"
+        for planes in (1, 3):
+            for value in (1.5, -0.1):
+                cmap = _write_grid(tmp_path / "cmap.ftn", np.full((2, 2, planes), value))
+                assert main(["fuse", cond, warped, cmap, str(out)]) == 4
+                assert "confidence values must lie in [0, 1]" in capsys.readouterr().err
+                assert not out.exists()
+
 
 class TestBenchCommand:
     def test_csv_row_count_and_header(self, tmp_path):

@@ -262,6 +262,16 @@ class TestBench:
         with pytest.raises(ValidationError):
             run_bench([(8, 8, 2)], block_side=6 ** 0.5, k=1)
 
+    def test_every_size_validated_before_any_build(self, monkeypatch):
+        # 10x10 tiles by 5 but 96x96 does not; the sweep must stop before
+        # building any baseline, not after the first size's
+        def forbidden(*args, **kwargs):
+            pytest.fail("the dense baseline was built before the sizes were validated")
+
+        monkeypatch.setattr(metrics, "dense_correspondence_baseline", forbidden)
+        with pytest.raises(ValidationError):
+            run_bench([(10, 10, 2), (96, 96, 8)], block_side=5, k=1)
+
     def test_csv_rendering(self):
         records = [
             BenchRecord("dense", 64, 4, 3, 4096, 0, 1000, 1.5, 0.0),
