@@ -29,6 +29,7 @@ from .tensors import (
     TensorFormatError,
     ValidationError,
     l2_normalize_features,
+    publish,
     read_tensor,
     write_tensor,
 )
@@ -221,7 +222,7 @@ def _write_correspondence_csv(path: str, corr: SparseCorrespondence) -> None:
     rows_per_chunk = max(1, _CSV_CHUNK_ENTRIES // m)
     # reusing one buffer spares faulting in fresh pages for every chunk
     buffer = np.empty((min(rows_per_chunk, sites) * m, w0 + 3), dtype=np.uint64)
-    with open(path, "wb") as fh:
+    with publish(path) as fh:
         fh.write(b"query_index,exemplar_index,weight\n")
         for r0 in range(0, sites, rows_per_chunk):
             r1 = min(r0 + rows_per_chunk, sites)
@@ -370,8 +371,8 @@ def cmd_bench(args) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        with publish(args.out) as fh:
+            fh.write(text.encode())
     return EXIT_OK
 
 

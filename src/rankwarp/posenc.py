@@ -27,13 +27,12 @@ class PositionChannels(FeatureGrid):
             raise ValidationError("position values must lie in [-1, 1]")
 
 
-def _ramp(idx: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    # offset from the [lo, hi] center, normalized by the half-extent;
-    # a degenerate extent (single row/column) maps to 0
+def _ramp(idx: np.ndarray, lo, hi) -> np.ndarray:
+    # offset from the [lo, hi] center, normalized by the half-extent; lo and
+    # hi may be per-site arrays.  A degenerate extent (single row/column)
+    # maps to 0: idx is then the center, and 0 / 1 is 0
     half = (hi - lo) / 2.0
-    if half == 0.0:
-        return np.zeros(idx.shape)
-    return (idx - (lo + hi) / 2.0) / half
+    return (idx - (lo + hi) / 2.0) / np.where(half == 0.0, 1.0, half)
 
 
 def vanilla_pe(height: int, width: int) -> PositionChannels:
@@ -54,13 +53,22 @@ def semantic_pe(mask: LabelMask) -> PositionChannels:
     extreme sites of the box reach exactly +-1.  Sites of different regions
     never interact; disconnected sites sharing a label count as one region.
     """
-    labels = mask.labels
-    out = np.zeros((mask.height, mask.width, 2))
-    for value in np.unique(labels):
-        ys, xs = np.nonzero(labels == value)
-        out[ys, xs, 0] = _ramp(xs, int(xs.min()), int(xs.max()))
-        out[ys, xs, 1] = _ramp(ys, int(ys.min()), int(ys.max()))
-    return PositionChannels(out.astype(np.float32))
+    # one sort groups the sites by label
+    labels = mask.labels.reshape(-1)
+    order = np.argsort(labels, kind="stable")
+    grouped = labels[order]
+    first = np.r_[True, grouped[1:] != grouped[:-1]]
+    starts = np.flatnonzero(first)
+    region = np.cumsum(first) - 1  # of each sorted site
+    ys, xs = np.divmod(order, mask.width)
+
+    def extent(idx):  # each site's region's lowest and highest idx
+        return np.minimum.reduceat(idx, starts)[region], np.maximum.reduceat(idx, starts)[region]
+
+    out = np.empty((labels.size, 2))
+    out[order, 0] = _ramp(xs, *extent(xs))
+    out[order, 1] = _ramp(ys, *extent(ys))
+    return PositionChannels(out.reshape(mask.height, mask.width, 2).astype(np.float32))
 
 
 def append_position(grid: FeatureGrid, channels: PositionChannels, weight: float = 1.0) -> FeatureGrid:

@@ -12,12 +12,18 @@ dtype code 1 is float32 (ndim must be 3, a feature grid), dtype code 2 is
 uint32 (ndim must be 2, a label mask).  Files are rejected on bad magic,
 unknown dtype, wrong rank, payload length mismatch, or non-finite floats,
 each with a :class:`TensorFormatError` that names the failure.
+
+Every file a command writes goes through :func:`publish`, so its name only
+ever holds a complete file: the new one appears there by rename.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import stat
 import struct
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +107,8 @@ class LabelMask:
             raise ValidationError(f"label mask must be integer-typed, got {a.dtype}")
         if a.min() < 0:
             raise ValidationError("label mask values must be nonnegative")
+        if a.max() > np.iinfo(np.uint32).max:  # astype would wrap it onto another label
+            raise ValidationError(f"label mask values must fit in uint32, got {a.max()}")
         object.__setattr__(self, "labels", _freeze(a.astype(np.uint32, copy=False)))
 
     @property
@@ -110,6 +118,46 @@ class LabelMask:
     @property
     def width(self) -> int:
         return self.labels.shape[1]
+
+
+@contextmanager
+def publish(path):
+    """Yield a binary handle whose bytes replace ``path`` once the block completes.
+
+    A regular file at ``path`` is opened without truncation, renamed to the
+    hidden sibling ``.<name>.partial``, written over in place, cut to its new
+    length and renamed back; a missing one is created under that scratch
+    name.  The old inode and its cached pages are reused, where truncating
+    or replacing the file would free them first.  Until the rename back the
+    name holds nothing, and a failed write unlinks the scratch, so the name
+    never holds a partial or mixed file.  Anything else at ``path`` (a
+    symlink, a device) is written through with ``open(path, "wb")`` and never
+    renamed.
+    """
+    path = os.fspath(path)
+    try:
+        old = os.lstat(path)
+    except FileNotFoundError:
+        old = None
+    if old is not None and not stat.S_ISREG(old.st_mode):
+        with open(path, "wb") as fh:
+            yield fh
+        return
+    head, name = os.path.split(path)
+    scratch = os.path.join(head, f".{name}.partial")
+    # opened before the rename, so that a refused open leaves the old file in place
+    fd = os.open(scratch if old is None else path, os.O_WRONLY | os.O_CREAT | os.O_NOFOLLOW, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            if old is not None:
+                os.replace(path, scratch)
+            yield fh
+            fh.truncate()
+        os.replace(scratch, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(scratch)
+        raise
 
 
 def write_tensor(grid: FeatureGrid | LabelMask, path) -> None:
@@ -127,7 +175,7 @@ def write_tensor(grid: FeatureGrid | LabelMask, path) -> None:
         payload = grid.labels.astype("<u4", copy=False)
     else:
         raise ValidationError(f"cannot serialize {type(grid).__name__}")
-    with open(path, "wb") as fh:
+    with publish(path) as fh:
         fh.write(_HEADER.pack(MAGIC, code, len(dims)))
         fh.write(np.asarray(dims, dtype="<u4").tobytes())
         fh.write(payload.tobytes())

@@ -1,8 +1,10 @@
 """End-to-end command-line behavior, exit codes, and output determinism."""
 
+import contextlib
 import errno
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import threading
@@ -204,6 +206,10 @@ class TestWarpCommand:
         threads = threading.active_count()
         assert main(["warp", cond, cond, "--out-dir", str(out)]) == 3
         assert threading.active_count() == threads
+        # a device is written through, never renamed
+        assert os.readlink(out / "correspondence.csv") == "/dev/full"
+        assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
+        assert sorted(os.listdir(out)) == ["cmap.ftn", "correspondence.csv", "warped.ftn"]
 
     def test_parallel_flag_is_a_usage_error(self, tmp_path):
         # ranking picks its threads from the grid, so neither command takes a flag for them
@@ -213,6 +219,104 @@ class TestWarpCommand:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
+
+
+class TestPublishedOutputs:
+    """Every output is rewritten over the previous run's file and appears by rename."""
+
+    WARP_FILES = ["cmap.ftn", "correspondence.csv", "warped.ftn"]
+
+    def _inputs(self, tmp_path):
+        rng = np.random.default_rng(161)
+        cond = _write_grid(tmp_path / "cond.ftn", _random_grid(rng, 16, 16, 4))
+        exem = _write_grid(tmp_path / "exem.ftn", _random_grid(rng, 16, 16, 4))
+        mask = _write_mask(tmp_path / "mask.ftn", rng.integers(0, 3, (16, 16)))
+        return cond, exem, mask
+
+    def test_rerun_keeps_bytes_and_inodes(self, tmp_path):
+        cond, exem, mask = self._inputs(tmp_path)
+        out = tmp_path / "out"
+        commands = [
+            ["warp", cond, exem, "--mask", mask, "--out-dir", str(out)],
+            ["fuse", cond, str(out / "warped.ftn"), str(out / "cmap.ftn"), str(out / "fused.ftn")],
+            ["spe", mask, str(out / "spe.ftn")],
+            ["bench", "--sizes", "8x8x2", "--out", str(out / "bench.csv")],
+        ]
+        links = tmp_path / "links"
+        links.mkdir()
+        runs = []
+        for run in range(2):
+            for argv in commands:
+                assert main(argv) == 0
+            names = sorted(os.listdir(out))
+            runs.append({f: ((out / f).read_bytes(), os.stat(out / f).st_ino) for f in names})
+            if run == 0:  # a second link keeps the first inode's number from being reused
+                for f in names:
+                    os.link(out / f, links / f)
+        assert names == ["bench.csv", "cmap.ftn", "correspondence.csv", "fused.ftn", "spe.ftn", "warped.ftn"]
+        for f in names:
+            assert runs[1][f][1] == runs[0][f][1], f
+            assert (links / f).read_bytes() == runs[1][f][0], f
+            if f != "bench.csv":  # its timing columns move
+                assert runs[1][f][0] == runs[0][f][0], f
+
+    def test_shorter_rewrite_leaves_no_tail(self, tmp_path):
+        cond, exem, _ = self._inputs(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "warped.ftn").write_bytes(b"x" * 100_000)
+        inode = os.stat(out / "warped.ftn").st_ino
+        assert main(["warp", cond, exem, "--out-dir", str(out)]) == 0
+        assert os.stat(out / "warped.ftn").st_ino == inode
+        assert read_tensor(str(out / "warped.ftn")).data.shape == (16, 16, 4)
+
+    def test_write_failing_after_first_chunk_leaves_nothing(self, tmp_path, monkeypatch, ranking_cpus):
+        cond, exem, _ = self._inputs(tmp_path)
+        ranking_cpus(1)  # 3072 entries in chunks of 500
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        argv = ["warp", cond, exem, "--out-dir", str(out)]
+        assert main(argv) == 0
+        assert main(["warp", cond, exem, "--out-dir", str(fresh)]) == 0
+        publish = cli.publish
+        calls = []
+
+        class FailingHandle:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                calls.append(len(data))
+                if len(calls) == 3:  # after the header and the first chunk
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(data)
+
+        @contextlib.contextmanager
+        def failing_publish(path):
+            with publish(path) as fh:
+                yield FailingHandle(fh)
+
+        monkeypatch.setattr(cli, "publish", failing_publish)
+        assert main(argv) == 3
+        assert len(calls) == 3 and calls[1] > 0
+        assert sorted(os.listdir(out)) == ["cmap.ftn", "warped.ftn"]
+        monkeypatch.setattr(cli, "publish", publish)
+        assert main(argv) == 0
+        assert sorted(os.listdir(out)) == self.WARP_FILES
+        for f in self.WARP_FILES:
+            assert (out / f).read_bytes() == (fresh / f).read_bytes()
+
+    def test_symlink_to_regular_file_written_through(self, tmp_path):
+        cond, exem, _ = self._inputs(tmp_path)
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        out.mkdir()
+        target = tmp_path / "kept.csv"
+        target.write_bytes(b"old run\n" * 100_000)
+        os.symlink(target, out / "correspondence.csv")
+        assert main(["warp", cond, exem, "--out-dir", str(out)]) == 0
+        assert main(["warp", cond, exem, "--out-dir", str(fresh)]) == 0
+        assert os.readlink(out / "correspondence.csv") == str(target)
+        assert target.read_bytes() == (fresh / "correspondence.csv").read_bytes()
+        assert sorted(os.listdir(out)) == self.WARP_FILES
 
 
 def _legacy_csv(corr):
@@ -364,6 +468,7 @@ class TestCorrespondenceCsv:
             _write_correspondence_csv("/dev/full", corr)
         assert exc.value.errno == errno.ENOSPC
         assert threading.active_count() == threads
+        assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
 
     def test_warp_command_csv_matches_oracle(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(185)

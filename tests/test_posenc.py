@@ -98,6 +98,62 @@ class TestSemantic:
         assert pe[0, 0, 0] == -1.0 and pe[0, 4, 0] == 1.0
 
 
+def _per_label_pe(labels):
+    """The per-label loop the grouped encoding replaced, kept as its oracle."""
+
+    def ramp(idx, lo, hi):
+        half = (hi - lo) / 2.0
+        if half == 0.0:
+            return np.zeros(idx.shape)
+        return (idx - (lo + hi) / 2.0) / half
+
+    out = np.zeros(labels.shape + (2,))
+    for value in np.unique(labels):
+        ys, xs = np.nonzero(labels == value)
+        out[ys, xs, 0] = ramp(xs, int(xs.min()), int(xs.max()))
+        out[ys, xs, 1] = ramp(ys, int(ys.min()), int(ys.max()))
+    return out.astype(np.float32)
+
+
+class TestSemanticMatchesPerLabelLoop:
+    @pytest.mark.parametrize("labels", [1, 16, 4096])
+    def test_label_counts(self, labels):
+        rng = np.random.default_rng(labels)
+        side = 64
+        if labels == 1:
+            mask = np.full((side, side), 7)
+        elif labels == 16:  # 4 x 4 rectangles of uneven sizes, labels not in raster order
+            cuts = [0, 5, 30, 31, side]
+            mask = np.zeros((side, side), dtype=np.int64)
+            ids = rng.permutation(16) * 1000
+            for i in range(4):
+                for j in range(4):
+                    mask[cuts[i]:cuts[i + 1], cuts[j]:cuts[j + 1]] = ids[4 * i + j]
+        else:  # every site its own label, shuffled
+            mask = rng.permutation(side * side).reshape(side, side)
+        pe = semantic_pe(LabelMask(mask.astype(np.uint32))).data
+        assert len(np.unique(mask)) == labels
+        assert pe.tobytes() == _per_label_pe(mask).tobytes()
+
+    def test_single_row_and_single_column_regions(self):
+        labels = np.zeros((6, 9), dtype=np.uint32)
+        labels[2, 1:8] = 3  # one row
+        labels[:, 8] = 4  # one column
+        labels[0, 0] = 5  # one site
+        for mask in (labels, labels[2:3], labels[:, 8:9]):
+            pe = semantic_pe(LabelMask(mask)).data
+            assert pe.tobytes() == _per_label_pe(mask).tobytes()
+        pe = semantic_pe(LabelMask(labels)).data
+        assert np.array_equal(pe[2, 1:8, 1], np.zeros(7)) and np.array_equal(pe[:, 8, 0], np.zeros(6))
+
+    def test_labels_split_over_disconnected_sites(self):
+        rng = np.random.default_rng(41)
+        for shape in ((17, 23), (1, 40), (40, 1)):
+            mask = rng.integers(0, 6, shape).astype(np.uint32)  # every label scattered
+            pe = semantic_pe(LabelMask(mask)).data
+            assert pe.tobytes() == _per_label_pe(mask).tobytes()
+
+
 class TestAppend:
     def test_channels_concatenated(self):
         rng = np.random.default_rng(91)

@@ -1,5 +1,7 @@
 """Grid types, FTN1 round trips, and normalization."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from rankwarp.tensors import (
     TensorFormatError,
     ValidationError,
     l2_normalize_features,
+    publish,
     read_tensor,
     write_tensor,
 )
@@ -114,6 +117,13 @@ class TestRejection:
         with pytest.raises(ValidationError):
             LabelMask(np.zeros((2, 2, 2), dtype=np.uint32))
 
+    def test_label_above_uint32_rejected(self):
+        # 2**32 would wrap onto label 0 and merge the two regions
+        assert LabelMask(np.array([[0, 2**32 - 1]])).labels.tolist() == [[0, 2**32 - 1]]
+        for labels in (np.array([[0, 2**32]]), np.array([[1, 2**63]], dtype=np.uint64)):
+            with pytest.raises(ValidationError, match="must fit in uint32"):
+                LabelMask(labels)
+
 
 class TestNormalize:
     def test_three_four_five(self):
@@ -153,3 +163,45 @@ class TestImmutability:
         grid = FeatureGrid(np.ones((2, 2, 1), dtype=np.float32))
         with pytest.raises(ValueError):
             grid.data[0, 0, 0] = 5.0
+
+
+class TestPublish:
+    def test_missing_file_created_over_a_stale_scratch(self, tmp_path):
+        # a killed run leaves only the hidden scratch; the next write reuses it
+        (tmp_path / ".out.bin.partial").write_bytes(b"stale and longer")
+        with publish(tmp_path / "out.bin") as fh:
+            fh.write(b"new")
+        assert os.listdir(tmp_path) == ["out.bin"]
+        assert (tmp_path / "out.bin").read_bytes() == b"new"
+
+    def test_failure_inside_the_block_leaves_no_file(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+        with pytest.raises(RuntimeError):
+            with publish(path) as fh:
+                fh.write(b"half")
+                raise RuntimeError("killed")
+        assert os.listdir(tmp_path) == []
+
+    def test_refused_open_or_rename_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+
+        def refuse(*args, **kwargs):
+            raise PermissionError("refused")
+
+        for name in ("open", "replace"):
+            with monkeypatch.context() as m:
+                m.setattr(os, name, refuse)
+                with pytest.raises(PermissionError):
+                    with publish(path) as fh:
+                        fh.write(b"new")
+            assert os.listdir(tmp_path) == ["out.bin"]
+            assert path.read_bytes() == b"old"
+
+    def test_directory_is_not_renamed(self, tmp_path):
+        (tmp_path / "out.bin").mkdir()
+        with pytest.raises(IsADirectoryError):
+            with publish(tmp_path / "out.bin"):
+                pass
+        assert os.listdir(tmp_path) == ["out.bin"]
