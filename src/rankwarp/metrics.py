@@ -169,8 +169,11 @@ def run_bench(
     builds and leaves ``ms`` NaN; peaks and counts are unchanged.
     """
     block_area = block_side * block_side
-    for height, width, _ in sizes:  # a size that does not tile fails before any build
-        BlockPartition(height, width, block_side)
+    # a size that does not tile, or has fewer than k blocks, fails before any build
+    for height, width, _ in sizes:
+        blocks = BlockPartition(height, width, block_side).block_count
+        if k % 1 or not 1 <= k <= blocks:
+            raise ValidationError(f"k={k} is not a whole count in 1..{blocks} blocks of {height}x{width}")
     records = []
     for height, width, depth in sizes:
         rng = np.random.default_rng([seed, height, width, depth])

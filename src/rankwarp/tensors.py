@@ -13,8 +13,9 @@ uint32 (ndim must be 2, a label mask).  Files are rejected on bad magic,
 unknown dtype, wrong rank, payload length mismatch, or non-finite floats,
 each with a :class:`TensorFormatError` that names the failure.
 
-Every file a command writes goes through :func:`publish`, so its name only
-ever holds a complete file: the new one appears there by rename.
+Every file a command writes goes through :func:`publish`, so while one
+command at a time writes a path, its name only ever holds a complete file:
+the new one appears there by rename.
 """
 
 from __future__ import annotations
@@ -130,9 +131,11 @@ def publish(path):
     name.  The old inode and its cached pages are reused, where truncating
     or replacing the file would free them first.  Until the rename back the
     name holds nothing, and a failed write unlinks the scratch, so the name
-    never holds a partial or mixed file.  Anything else at ``path`` (a
-    symlink, a device) is written through with ``open(path, "wb")`` and never
-    renamed.
+    never holds a partial or mixed file, provided one writer at a time
+    publishes ``path``.  Two at once share the scratch name: one can rename
+    the other's half-written file into place, and the other's rename back
+    then fails.  Anything else at ``path`` (a symlink, a device) is written
+    through with ``open(path, "wb")`` and never renamed.
     """
     path = os.fspath(path)
     try:

@@ -8,10 +8,10 @@ gamma_i = N * T[i, 1] of the entropic plan T is sigmoid(4 * lambda * a_i + t)
 for one dual gap t per problem.  :func:`dual_gamma` solves for t exactly and
 :func:`dual_gamma_vjp` differentiates the solution in closed form; every
 caller in the package runs this pair.  A Sinkhorn solver and its replayed
-backward remain for the benchmark's ``topk-grad`` workload alone.  While
-|z_top + t| <= 700 their steps form sigmoid(z + t) from u = exp(z - z_top),
-computed once per problem, and one scalar exp(z_top + t); past that, where
-e^x would overflow float64, they work in the log domain.
+backward remain for the benchmark's ``topk-grad`` workload alone.  Their
+steps form sigmoid(z + t) from u = exp(z - z_top), computed once per problem,
+and one scalar exp(z_top + t); a problem whose steps could take |z_top + t|
+past 700, where e^x nears float64 overflow, is refused (never at lambda <= 85).
 """
 
 from __future__ import annotations
@@ -24,6 +24,12 @@ import numpy as np
 from .tensors import ValidationError
 
 EXACT_TOLERANCE = 1e-13  # |sum(gamma) - k| of the solves a gradient check takes as exact
+
+
+def _check_lambda(lam) -> None:
+    # the logits are 4 * lam * a, so 4 * lam must be finite as well as lam
+    if not (lam > 0 and math.isfinite(4.0 * float(lam))):
+        raise ValidationError(f"lambda must be positive with 4 * lambda finite, got {lam}")
 
 
 @dataclass(frozen=True)
@@ -45,8 +51,7 @@ class TopKProblem:
         if self.k % 1 or not 1 <= self.k <= a.size:
             raise ValidationError(f"k={self.k} is not a whole count in 1..N={a.size}")
         object.__setattr__(self, "k", int(self.k))
-        if not (np.isfinite(self.lam) and self.lam > 0):
-            raise ValidationError("lambda must be finite and positive")
+        _check_lambda(self.lam)
         if self.max_iters < 1:
             raise ValidationError("max_iters must be positive")
         if not (np.isfinite(self.tolerance) and self.tolerance > 0):
@@ -103,8 +108,9 @@ def dual_gamma(
         raise ValidationError(f"per-problem k has shape {ks.shape}, expected ({b},)")
     if ks.ndim > 1 or (ks % 1 != 0).any() or ks.min() < 1 or ks.max() > n:
         raise ValidationError(f"k={k} is not a whole count in 1..N={n}")
-    if not (np.isfinite(lam) and lam > 0 and np.isfinite(tolerance) and tolerance > 0):
-        raise ValidationError("lambda and tolerance must be finite and positive")
+    _check_lambda(lam)
+    if not (np.isfinite(tolerance) and tolerance > 0):
+        raise ValidationError("tolerance must be finite and positive")
     if max_iters < 1:
         raise ValidationError("max_iters must be positive")
     gamma, iters, errors = np.ones((b, n)), np.zeros(b, dtype=int), np.zeros(b)
@@ -155,8 +161,7 @@ def dual_gamma_vjp(gamma: np.ndarray, upstream: np.ndarray, lam: float) -> np.nd
     u = np.asarray(upstream, dtype=np.float64)
     if u.shape != g.shape:
         raise ValidationError(f"upstream has shape {u.shape}, gamma has {g.shape}")
-    if not (np.isfinite(lam) and lam > 0):
-        raise ValidationError("lambda must be finite and positive")
+    _check_lambda(lam)
     s = g * (1.0 - g)
     su = s * u
     total = s.sum(axis=-1, keepdims=True)  # 0 only where s, and so s . u, is 0
@@ -218,9 +223,9 @@ class SinkhornTape:
     """Recorded dual gaps of :func:`sinkhorn_solve`, sufficient to replay it forward or backward.
 
     ``states[m]`` is the gap t before double-step m; ``states[-1]`` is the
-    gap after the last step.  ``z`` holds the logits 4 * lam * a and ``u``
-    holds exp(z - max z).  ``gamma`` and ``slope`` are the last step's soft
-    weights k * sigmoid(x) / S1 and gamma * sigmoid(-x), at x = z +
+    gap after the last step.  ``z_top`` is the largest logit 4 * lam * a and
+    ``u`` holds exp(z - z_top).  ``gamma`` and ``slope`` are the last step's
+    soft weights k * sigmoid(x) / S1 and gamma * sigmoid(-x), at x = z +
     ``states[-2]``.  When k == N the plan is fully constrained: no step runs,
     t is +inf, gamma is 1 and the slope 0.
     """
@@ -228,67 +233,24 @@ class SinkhornTape:
     n: int
     k: int
     lam: float
-    z: np.ndarray
+    z_top: float
     u: np.ndarray
     states: list = field(default_factory=list)
     gamma: np.ndarray | None = None
     slope: np.ndarray | None = None
 
 
-def _sigmoids(x: np.ndarray, top: int, bottom: int):
-    """sigmoid(x) and sigmoid(-x) along the last axis, each scaled by its largest entry.
-
-    Returns (p1, l1, p0, l0) with sigmoid(x) = p1 * exp(l1) and sigmoid(-x) =
-    p0 * exp(l0).  ``top`` and ``bottom`` index the largest and smallest x,
-    where p1 and p0 lie in [1/2, 1], so sums of p and their logs stay finite
-    at any lambda.
-    """
-    neg = np.minimum(x, 0.0)
-    pos = neg - x  # min(-x, 0), exactly
-    denom = 1.0 + np.exp(neg + pos)  # 1 + exp(-|x|)
-    l1, l0 = neg[..., top, None], pos[..., bottom, None]
-    return np.exp(neg - l1) / denom, l1, np.exp(pos - l0) / denom, l0
-
-
-def _ends(z: np.ndarray) -> tuple[int, int]:
-    # z + t keeps the order of z, so these index the largest and smallest x
-    return int(z.argmax()), int(z.argmin())
-
-
-# the widest |x_top| a direct step takes: e^x overflows float64 just past 709,
+# the widest |z_top + t| a step takes: e^x overflows float64 just past 709,
 # and below -700 the sum of sigmoid(x) would come near the smallest normal double
 _DIRECT_LIMIT = 700.0
 
 
-def _direct_sigmoids(u: np.ndarray, scale):
-    """(sigmoid(x), 0, sigmoid(-x), 0) at e^x = scale * u, for a scalar scale or a column of them."""
+def _sigmoids(u: np.ndarray, scale):
+    """(sigmoid(x), sigmoid(-x)) at e^x = scale * u, for a scalar scale or a column of them."""
     v = u * scale
     p0 = v + 1.0
     np.reciprocal(p0, out=p0)
-    return np.multiply(v, p0, out=v), 0.0, p0, 0.0
-
-
-def _step_sigmoids(tape: SinkhornTape, ends: tuple[int, int], t):
-    """(p1, l1, p0, l0) as :func:`_sigmoids` gives them, at x = z + t for a gap t or a column of gaps.
-
-    A row whose largest logit x_top = z_top + t lies within _DIRECT_LIMIT takes
-    the direct form from one exponential per row: with v = exp(x_top) * u =
-    e^x, sigmoid(-x) = 1 / (1 + v) and sigmoid(x) = v * sigmoid(-x), unscaled
-    (l1 = l0 = 0).  Other rows take the log-domain form of :func:`_sigmoids`.
-    """
-    x_top = tape.z.item(ends[0]) + t
-    if not isinstance(t, np.ndarray):
-        if abs(x_top) <= _DIRECT_LIMIT:
-            return _direct_sigmoids(tape.u, math.exp(x_top))
-        p1, l1, p0, l0 = _sigmoids(tape.z + t, *ends)
-        return p1, l1.item(), p0, l0.item()
-    direct = np.abs(x_top[:, 0]) <= _DIRECT_LIMIT
-    if direct.all():
-        return _direct_sigmoids(tape.u, np.exp(x_top))
-    p1, l1, p0, l0 = _sigmoids(tape.z + t, *ends)
-    if direct.any():
-        p1[direct], l1[direct], p0[direct], l0[direct] = _direct_sigmoids(tape.u, np.exp(x_top[direct]))
-    return p1, l1, p0, l0
+    return np.multiply(v, p0, out=v), p0
 
 
 def sinkhorn_solve(problem: TopKProblem) -> tuple[TransportPlan, SinkhornTape]:
@@ -297,25 +259,22 @@ def sinkhorn_solve(problem: TopKProblem) -> tuple[TransportPlan, SinkhornTape]:
     Each double-step scales the rows to 1/N and then the columns to their
     marginals, which on the two-point support moves only the gap, from t = 0:
     t <- t + logit(k/N) - log sum sigmoid(z + t) + log sum sigmoid(-z - t)
-    with z = 4 * lam * a.  While the largest logit z_top + t lies within
-    +-700, a step forms both sums from u = exp(z - z_top), computed once per
-    problem, and the scalar exp(z_top + t); past that e^x would overflow or
-    the sum of sigmoid(x) underflow, and the step forms the sums in the log
-    domain, so that lambda in the thousands stays finite.  Steps run,
+    with z = 4 * lam * a.  A step forms both sums from u = exp(z - z_top),
+    computed once per problem, and exp(z_top + t), so |z_top + t| must stay
+    within 700.  Every step after the first lands t in [logit(k/N) - z_top,
+    logit(k/N) - z_min], as S1 / S0 is a weighted mean of e^(z + t); so a
+    problem with k < N and max(|z_top|, |logit(k/N)| + z_top - z_min) > 700
+    raises :class:`ValidationError` (never at lambda <= 85).  Steps run,
     recording every t, until the worst marginal violation drops inside the
     tolerance or ``max_iters`` is exhausted.  Non-convergence is not an
-    error: the plan is returned with ``marginal_error`` set and the caller
-    decides.
-
-    Returns
-    -------
-    (TransportPlan, SinkhornTape)
-        The plan (float32) and the tape for gradient replay.
+    error: the plan is returned with ``marginal_error`` set.  Returns the
+    float32 plan and the tape for gradient replay.
     """
     n, k = problem.n, problem.k
     z = 4.0 * problem.lam * problem.scores.astype(np.float64)
-    ends = _ends(z)
-    tape = SinkhornTape(n=n, k=k, lam=problem.lam, z=z, u=np.exp(z - z[ends[0]]))
+    top, bottom = int(z.argmax()), int(z.argmin())
+    z_top = z.item(top)
+    tape = SinkhornTape(n=n, k=k, lam=problem.lam, z_top=z_top, u=np.exp(z - z_top))
     if k == n:
         # the column constraint forces T[i] = (0, 1/N) exactly
         tape.states.append(math.inf)
@@ -324,20 +283,24 @@ def sinkhorn_solve(problem: TopKProblem) -> tuple[TransportPlan, SinkhornTape]:
         plan[:, 1] = np.float32(1.0 / n)
         return TransportPlan(plan=plan, iterations_used=0, marginal_error=0.0), tape
     logit = math.log(k / (n - k))
+    reach = max(abs(z_top), abs(logit) + z_top - z.item(bottom))
+    if reach > _DIRECT_LIMIT:
+        raise ValidationError(f"lambda={problem.lam:g} is out of the Sinkhorn reference's range: "
+                              f"|z_top + t| may reach {reach:.4g}, above {_DIRECT_LIMIT:g}")
     t, err = 0.0, math.inf
     for _ in range(problem.max_iters):
         tape.states.append(t)
-        p1, l1, p0, l0 = _step_sigmoids(tape, ends, t)
+        p1, p0 = _sigmoids(tape.u, math.exp(z_top + t))
         s1, s0 = float(p1.sum()), float(p0.sum())
         # the column sums are exact after the column step; each row's mass is
         # affine in sigmoid(x_i), so the worst row is at the largest or smallest x
-        err = max(abs(k * p1.item(i) / s1 + (n - k) * p0.item(i) / s0 - 1.0) for i in ends) / n
-        t += logit - l1 - math.log(s1) + l0 + math.log(s0)
+        err = max(abs(k * p1.item(i) / s1 + (n - k) * p0.item(i) / s0 - 1.0) for i in (top, bottom)) / n
+        t += logit - math.log(s1) + math.log(s0)
         if err <= _STOP_FACTOR * problem.tolerance:
             break
     tape.states.append(t)
     tape.gamma = k / s1 * p1
-    tape.slope = tape.gamma * (p0 * math.exp(l0))
+    tape.slope = tape.gamma * p0
     plan = (np.stack([(n - k) / s0 * p0, tape.gamma], axis=1) / n).astype(np.float32)
     return TransportPlan(plan=plan, iterations_used=len(tape.states) - 1, marginal_error=err), tape
 
@@ -353,19 +316,9 @@ def soft_topk_backward(tape: SinkhornTape, upstream: np.ndarray) -> np.ndarray:
     Replays the recorded gap recursion in reverse: the last step maps x = z + t
     to gamma = k * sigmoid(x) / S1, and each earlier step moves t by a function
     of x with d t / d x_i = -sigmoid(x_i) * sigmoid(-x_i) * (1/S1 + 1/S0), where
-    S1 and S0 sum sigmoid(x) and sigmoid(-x).  ``upstream`` is d loss / d gamma.
-
-    Parameters
-    ----------
-    tape: SinkhornTape
-        Tape from :func:`sinkhorn_solve` (converged or truncated).
-    upstream: numpy.ndarray
-        Shape (N,) gradient d loss / d gamma.
-
-    Returns
-    -------
-    numpy.ndarray
-        Shape (N,) float64 gradient d loss / d scores.
+    S1 and S0 sum sigmoid(x) and sigmoid(-x).  ``upstream`` is the (N,) d loss /
+    d gamma, and the tape comes from :func:`sinkhorn_solve`, converged or
+    truncated.  Returns the (N,) float64 d loss / d scores.
     """
     up = np.asarray(upstream, dtype=np.float64).reshape(-1)
     if up.size != tape.n:
@@ -374,16 +327,13 @@ def soft_topk_backward(tape: SinkhornTape, upstream: np.ndarray) -> np.ndarray:
     dz = tape.slope * (up - (up @ tape.gamma) / tape.k)
     dt = dz.sum()  # d loss / d t_{M-1}
     # the earlier steps m < M - 1, a block of rows x = z + t_m at a time, last block first
-    ends = _ends(tape.z)
     steps = np.array(tape.states[:-2])
     rows = max(1, _BACKWARD_ENTRIES // tape.n)
     for hi in range(steps.size, 0, -rows):
         lo = max(0, hi - rows)
-        p1, l1, p0, l0 = _step_sigmoids(tape, ends, steps[lo:hi, None])
-        # d t_{m+1} / d x, with sigmoid(x) * sigmoid(-x) = p1 * p0 * exp(l1 + l0);
-        # at most one of l1 and l0 is below 0, so the row factor stays finite
-        dt_dx = p1 * p0
-        dt_dx *= -(np.exp(l0) / p1.sum(axis=1, keepdims=True) + np.exp(l1) / p0.sum(axis=1, keepdims=True))
+        p1, p0 = _sigmoids(tape.u, np.exp(tape.z_top + steps[lo:hi, None]))
+        dt_dx = p1 * p0  # times the row factor below, d t_{m+1} / d x
+        dt_dx *= -(1.0 / p1.sum(axis=1, keepdims=True) + 1.0 / p0.sum(axis=1, keepdims=True))
         # d t_{m+1} / d t_m = 1 + sum(d t_{m+1} / d x); carry[j] = d t_hi / d t_(lo + j)
         carry = np.cumprod(np.append(1.0 + dt_dx.sum(axis=1), 1.0)[::-1])[::-1]
         dz += dt * (carry[1:] @ dt_dx)

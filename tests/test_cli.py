@@ -168,6 +168,15 @@ class TestWarpCommand:
         exem = _write_grid(tmp_path / "exem.ftn", _random_grid(rng, 8, 8, 2))
         assert main(["warp", cond, exem, "--out-dir", str(tmp_path / "out")]) == 4
 
+    def test_lambda_whose_quadruple_overflows_exits_4(self, tmp_path, capsys):
+        # 1e308 passes the parser, but 4 * lambda scales the logits and overflows
+        rng = np.random.default_rng(157)
+        cond = _write_grid(tmp_path / "cond.ftn", _random_grid(rng, 4, 4, 2))
+        out = tmp_path / "out"
+        assert main(["warp", cond, cond, "--lambda", "1e308", "--out-dir", str(out)]) == 4
+        assert "lambda" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_byte_identical(self, tmp_path):
         rng = np.random.default_rng(157)
         cond = _write_grid(tmp_path / "cond.ftn", _random_grid(rng, 8, 8, 4))
@@ -534,6 +543,15 @@ class TestTopkCommand:
         clamped = capsys.readouterr().out
         assert main(["topk", "--scores", "0.5,1.0", "--k", "1"]) == 0
         assert capsys.readouterr().out == clamped
+
+    @pytest.mark.parametrize("command", ["topk", "gradcheck"])
+    def test_lambda_whose_quadruple_overflows_exits_4(self, capsys, command):
+        # 1e308 passes the parser, but 4 * lambda overflows and gamma would be NaN
+        argv = ["topk", "--scores", "0.5,0.1", "--k", "1"] if command == "topk" else ["gradcheck"]
+        assert main(argv + ["--lambda", "1e308"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: lambda")
 
     def test_capped_solve_warns_on_stderr(self, capsys):
         # at the defaults (lambda 50, 100 Newton steps) the exact dual gives the

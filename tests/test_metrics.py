@@ -272,6 +272,17 @@ class TestBench:
         with pytest.raises(ValidationError):
             run_bench([(10, 10, 2), (96, 96, 8)], block_side=5, k=1)
 
+    @pytest.mark.parametrize("k", [0, 1.5, 17, 5000])
+    def test_every_k_validated_before_any_build(self, monkeypatch, k):
+        # 96x96 has 2304 blocks of side 2 and 8x8 has 16: a k of 17 fits the
+        # first size only, so the second must be checked before the first is built
+        def forbidden(*args, **kwargs):
+            pytest.fail("the dense baseline was built before k was validated")
+
+        monkeypatch.setattr(metrics, "dense_correspondence_baseline", forbidden)
+        with pytest.raises(ValidationError, match=f"k={k}"):
+            run_bench([(96, 96, 8), (8, 8, 2)], block_side=2, k=k)
+
     def test_csv_rendering(self):
         records = [
             BenchRecord("dense", 64, 4, 3, 4096, 0, 1000, 1.5, 0.0),

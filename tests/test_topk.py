@@ -11,6 +11,7 @@ from rankwarp.topk import (
     selection_from_tape,
     sinkhorn_solve,
     soft_topk,
+    soft_topk_backward,
 )
 
 
@@ -63,7 +64,8 @@ class TestProblem:
             TopKProblem(np.array([0.1]), k=1, lam=-1.0)
         with pytest.raises(ValidationError):
             TopKProblem(np.array([0.1]), k=1, tolerance=0.0)
-        for bad in (dict(lam=np.nan), dict(lam=np.inf), dict(tolerance=np.nan),
+        # a lambda whose 4 * lambda overflows would give infinite logits
+        for bad in (dict(lam=np.nan), dict(lam=np.inf), dict(lam=1e308), dict(tolerance=np.nan),
                     dict(tolerance=np.inf)):
             with pytest.raises(ValidationError):
                 TopKProblem(np.array([0.5, 0.1, -0.2]), k=1, **bad)
@@ -102,10 +104,34 @@ class TestSolve:
         assert converged >= 40, f"only {converged} instances converged"
 
     def test_nonconvergence_is_reported_not_raised(self):
-        p = TopKProblem(np.array([0.5, 0.49, -0.7]), k=1, lam=500.0, max_iters=3)
+        p = TopKProblem(np.array([0.5, 0.49, -0.7]), k=1, lam=80.0, max_iters=3)
         plan, _ = sinkhorn_solve(p)
         assert plan.iterations_used == 3
-        assert plan.marginal_error > 0
+        assert plan.marginal_error > 0.1
+
+    def test_refused_exactly_past_the_step_range(self):
+        # N=2, k=1 has logit(k/N) = 0, so the bound is max(|z_top|, z_top - z_min)
+        # with z = 4 * lam * a: 8 * lam for scores +-1 and 4 * lam for equal ones
+        for scores, edge in (([1.0, -1.0], 87.5), ([1.0, 1.0], 175.0), ([-1.0, -1.0], 175.0)):
+            plan, tape = sinkhorn_solve(TopKProblem(np.array(scores), k=1, lam=edge))
+            assert np.isfinite(tape.states).all() and np.isfinite(plan.plan).all()
+            with pytest.raises(ValidationError, match="lambda"):
+                sinkhorn_solve(TopKProblem(np.array(scores), k=1, lam=np.nextafter(edge, np.inf)))
+        # k == N runs no step, so no lambda is out of range
+        assert sinkhorn_solve(TopKProblem(np.array([1.0, -1.0]), k=2, lam=1e5))[0].iterations_used == 0
+
+    def test_topk_grad_shape_always_accepted(self):
+        # the benchmark's problems (N=400, k=3, lambda=50) at the widest score
+        # spreads: |logit(3/400)| + 8 * 50 is about 405, well inside 700
+        rng = np.random.default_rng(23)
+        one_top = np.full(400, -1.0)
+        one_top[7] = 1.0
+        for scores in (one_top, -one_top, np.ones(400), -np.ones(400), rng.choice([-1.0, 1.0], 400)):
+            p = TopKProblem(scores, k=3, lam=50.0)
+            plan, tape = sinkhorn_solve(p)
+            grad = soft_topk_backward(tape, rng.standard_normal(400))
+            assert np.isfinite(tape.states).all() and np.isfinite(plan.plan).all()
+            assert np.isfinite(grad).all()
 
     def test_nonnegative_every_iteration(self):
         # the plan after each step m is the plan of a solve cut at m steps,
@@ -278,7 +304,7 @@ class TestBatch:
         [{"lam": np.nan}, {"lam": np.inf}, {"lam": 0.0}, {"tolerance": np.nan},
          {"tolerance": np.inf}, {"tolerance": 0.0}, {"max_iters": 0},
          {"scores": np.array([[0.1, np.nan]])}, {"scores": np.array([[np.inf, 0.0]])},
-         {"k": 2.7}, {"k": np.nan}],
+         {"k": 2.7}, {"k": np.nan}, {"lam": 1e308}],
     )
     def test_bad_solver_parameters(self, knobs):
         with pytest.raises(ValidationError):
