@@ -22,7 +22,6 @@ from .correspondence import (
 from .fusion import ConfidenceMap, confidence_map, fuse, fuse_multichannel
 from .metrics import (
     BenchRecord,
-    consistency_loss,
     cycle_loss,
     dense_correspondence_baseline,
     dense_warp,

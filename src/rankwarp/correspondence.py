@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensors import FeatureGrid, ValidationError, unit_rows
-from .topk import dual_gamma
+from .topk import _whole_count, dual_gamma
 
 # query blocks in flight across all ranking threads; bounds peak memory at
 # O(chunk * N) while the full score matrix would be O(N^2)
@@ -90,9 +90,7 @@ class BlockFeatures:
 def partition_blocks(grid: FeatureGrid, block_side: int) -> BlockFeatures:
     """Tile ``grid`` into s x s blocks and build the concatenated block vectors."""
     part = BlockPartition(grid.height, grid.width, block_side)
-    s = part.block_side
-    tiles = grid.data.reshape(part.blocks_h, s, part.blocks_w, s, grid.channels)
-    vectors = tiles.transpose(0, 2, 1, 3, 4).reshape(part.block_count, s * s * grid.channels)
+    vectors = grid.vectors[part.feature_indices()].reshape(part.block_count, -1)
     return BlockFeatures(partition=part, normalized=unit_rows(vectors.astype(np.float64)))
 
 
@@ -155,9 +153,7 @@ def rank_blocks(
         )
     n_q = query.partition.block_count
     n_e = exemplar.partition.block_count
-    if k % 1 or not 1 <= k <= n_e:
-        raise ValidationError(f"k={k} is not a whole count in 1..{n_e} exemplar blocks")
-    k = int(k)
+    k = _whole_count(k, n_e, "exemplar blocks")
     cand = np.empty((n_q, k), dtype=np.int32)
     gam = np.empty((n_q, k))
     mx = np.empty(n_q)

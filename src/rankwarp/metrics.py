@@ -3,8 +3,7 @@
 The cycle loss asks whether the exemplar is recoverable from its own warp:
 with T the row-stochastic correspondence, it measures ``|T' (T Z) - Z|`` per
 element, where T' is the transposed correspondence with rows renormalized so
-the reverse map is also an average.  The consistency loss is a plain mean
-absolute difference between two feature grids.
+the reverse map is also an average.
 
 The benchmark builds the ranked sparse correspondence and the dense
 all-pairs baseline, which exists only as its reference point, over seeded
@@ -29,6 +28,7 @@ from .correspondence import (
     warp,
 )
 from .tensors import FeatureGrid, ValidationError, unit_rows
+from .topk import _check_lambda, _whole_count
 
 CSV_HEADER = "method,L,b,k,entries,ranking_scores,peak_bytes,ms,warp_l1"
 
@@ -51,17 +51,6 @@ class BenchRecord:
             f"{self.entries},{self.ranking_scores},{self.peak_bytes},"
             f"{self.ms:.3f},{self.warp_l1:.8e}"
         )
-
-
-def consistency_loss(features_a: FeatureGrid, features_b: FeatureGrid) -> float:
-    """Mean absolute element difference between two same-shape grids."""
-    if features_a.data.shape != features_b.data.shape:
-        raise ValidationError(
-            f"shapes differ: {features_a.data.shape} vs {features_b.data.shape}"
-        )
-    a = features_a.data.astype(np.float64)
-    b = features_b.data.astype(np.float64)
-    return float(np.abs(a - b).mean())
 
 
 def cycle_loss(correspondence: SparseCorrespondence, exemplar: FeatureGrid) -> float:
@@ -169,11 +158,10 @@ def run_bench(
     builds and leaves ``ms`` NaN; peaks and counts are unchanged.
     """
     block_area = block_side * block_side
-    # a size that does not tile, or has fewer than k blocks, fails before any build
+    # a bad lambda, a size that does not tile, or one with fewer than k blocks fails before any build
+    _check_lambda(lam)
     for height, width, _ in sizes:
-        blocks = BlockPartition(height, width, block_side).block_count
-        if k % 1 or not 1 <= k <= blocks:
-            raise ValidationError(f"k={k} is not a whole count in 1..{blocks} blocks of {height}x{width}")
+        _whole_count(k, BlockPartition(height, width, block_side).block_count, f"blocks of {height}x{width}")
     records = []
     for height, width, depth in sizes:
         rng = np.random.default_rng([seed, height, width, depth])

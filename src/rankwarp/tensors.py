@@ -34,6 +34,7 @@ DTYPE_FLOAT32 = 1
 DTYPE_UINT32 = 2
 
 _HEADER = struct.Struct("<4sBB")
+_NORM_FLOOR = 1e-8  # unit_rows takes a norm at or below this as zero
 
 
 class TensorFormatError(ValueError):
@@ -171,8 +172,6 @@ def write_tensor(grid: FeatureGrid | LabelMask, path) -> None:
     if isinstance(grid, FeatureGrid):
         code, dims = DTYPE_FLOAT32, grid.data.shape
         payload = grid.data.astype("<f4", copy=False)
-        if not np.isfinite(payload).all():  # defensive; construction already checks
-            raise ValidationError("refusing to write non-finite feature grid")
     elif isinstance(grid, LabelMask):
         code, dims = DTYPE_UINT32, grid.labels.shape
         payload = grid.labels.astype("<u4", copy=False)
@@ -222,23 +221,17 @@ def read_tensor(path) -> FeatureGrid | LabelMask:
     return LabelMask(data.astype(np.uint32))
 
 
-def unit_rows(v: np.ndarray, epsilon: float = 1e-8) -> np.ndarray:
+def unit_rows(v: np.ndarray) -> np.ndarray:
     """Scale each vector along the last axis of ``v`` to unit L2 norm.
 
-    Vectors whose norm is at or below ``epsilon`` collapse to zero outright,
-    which keeps the operation idempotent instead of drifting near the guard
-    scale.
+    Vectors whose norm is at or below ``_NORM_FLOOR`` collapse to zero
+    outright, which keeps the operation idempotent instead of drifting near
+    the guard scale.
     """
     norms = np.sqrt((v * v).sum(axis=-1, keepdims=True))
-    return np.where(norms > epsilon, v / np.where(norms > epsilon, norms, 1.0), 0.0)
+    return np.where(norms > _NORM_FLOOR, v / np.where(norms > _NORM_FLOOR, norms, 1.0), 0.0)
 
 
-def l2_normalize_features(grid: FeatureGrid, epsilon: float = 1e-8) -> FeatureGrid:
-    """Scale each site's feature vector to unit L2 norm.
-
-    Zero vectors stay zero: the norm is guarded by ``epsilon`` instead of
-    dividing by zero.  Idempotent within 1e-6.
-    """
-    if not epsilon > 0:
-        raise ValidationError("epsilon must be positive")
-    return FeatureGrid(unit_rows(grid.data.astype(np.float64), epsilon).astype(np.float32))
+def l2_normalize_features(grid: FeatureGrid) -> FeatureGrid:
+    """Scale each site's feature vector to unit L2 norm by :func:`unit_rows`; zero vectors stay zero."""
+    return FeatureGrid(unit_rows(grid.data.astype(np.float64)).astype(np.float32))

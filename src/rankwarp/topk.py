@@ -32,6 +32,19 @@ def _check_lambda(lam) -> None:
         raise ValidationError(f"lambda must be positive with 4 * lambda finite, got {lam}")
 
 
+def _whole_count(k, n: int, of: str = "scores"):
+    """``k`` as a whole count in 1..n: an int, or an int64 array for an array of counts."""
+    if type(k) is int and 1 <= k <= n:  # plain comparisons: this runs once per ranking problem
+        return k
+    # the range test comes first: NaN and inf fail it, and % would warn on them
+    if isinstance(k, np.ndarray):
+        if ((k >= 1) & (k <= n)).all() and not (k % 1).any():
+            return k.astype(np.int64)
+    elif 1 <= k <= n and not k % 1:
+        return int(k)
+    raise ValidationError(f"k={k} is not a whole count in 1..{n} {of}")
+
+
 @dataclass(frozen=True)
 class TopKProblem:
     """One ranking instance: N scores in [-1, 1], a selection size k, and solver knobs."""
@@ -48,9 +61,7 @@ class TopKProblem:
             raise ValidationError("scores must be non-empty")
         if not np.isfinite(a).all():
             raise ValidationError("scores must be finite")
-        if self.k % 1 or not 1 <= self.k <= a.size:
-            raise ValidationError(f"k={self.k} is not a whole count in 1..N={a.size}")
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", _whole_count(self.k, a.size))
         _check_lambda(self.lam)
         if self.max_iters < 1:
             raise ValidationError("max_iters must be positive")
@@ -76,10 +87,9 @@ class SoftSelection:
 def hard_topk_oracle(scores: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask of the k largest scores, ties broken toward the lower index."""
     a = np.asarray(scores).reshape(-1)
-    if k % 1 or not 1 <= k <= a.size:
-        raise ValidationError(f"k={k} is not a whole count in 1..N={a.size}")
+    k = _whole_count(k, a.size)
     mask = np.zeros(a.size, dtype=bool)
-    mask[np.argsort(-a, kind="stable")[: int(k)]] = True
+    mask[np.argsort(-a, kind="stable")[:k]] = True
     return mask
 
 
@@ -104,10 +114,9 @@ def dual_gamma(
         raise ValidationError("scores must be finite")
     b, n = raw.shape
     ks = np.asarray(k)
-    if ks.ndim == 1 and ks.shape != (b,):
+    if ks.ndim and ks.shape != (b,):
         raise ValidationError(f"per-problem k has shape {ks.shape}, expected ({b},)")
-    if ks.ndim > 1 or (ks % 1 != 0).any() or ks.min() < 1 or ks.max() > n:
-        raise ValidationError(f"k={k} is not a whole count in 1..N={n}")
+    ks = np.broadcast_to(_whole_count(ks if ks.ndim else k, n, "scores per row"), (b,))
     _check_lambda(lam)
     if not (np.isfinite(tolerance) and tolerance > 0):
         raise ValidationError("tolerance must be finite and positive")
@@ -115,8 +124,8 @@ def dual_gamma(
         raise ValidationError("max_iters must be positive")
     gamma, iters, errors = np.ones((b, n)), np.zeros(b, dtype=int), np.zeros(b)
     # k == N rows keep gamma = 1 exactly; the others have a finite root
-    rows = np.flatnonzero(np.broadcast_to(ks, (b,)) < n)
-    kk = np.broadcast_to(ks, (b,))[rows].astype(np.int64)
+    rows = np.flatnonzero(ks < n)
+    kk = ks[rows]
     z = 4.0 * lam * np.clip(raw[rows], -1.0, 1.0).astype(np.float32).astype(np.float64)
     # every logit is at most logit(k/N) at lo, so sum(gamma) <= k there; >= k at hi
     lo = np.log(kk) - np.log(n - kk) - z.max(axis=1)

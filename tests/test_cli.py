@@ -716,6 +716,13 @@ class TestBenchCommand:
             main(["bench", "--sizes", "8x8x2", flag, value])
         assert exc.value.code == 2
 
+    def test_lambda_whose_quadruple_overflows_exits_4(self, capsys):
+        # refused before the 96x96 dense baseline (324 MiB) is built
+        assert main(["bench", "--sizes", "96x96x8", "--lambda", "1e308"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: lambda")
+
     def test_rerun_identical_apart_from_timing_columns(self, tmp_path):
         def masked(path):
             rows = []

@@ -1,4 +1,4 @@
-"""Cycle and consistency losses plus the complexity benchmark."""
+"""The cycle loss and the complexity benchmark."""
 
 import math
 import tracemalloc
@@ -19,7 +19,6 @@ from rankwarp.metrics import (
     CSV_HEADER,
     BenchRecord,
     _traced,
-    consistency_loss,
     cycle_loss,
     dense_correspondence_baseline,
     render_csv,
@@ -68,32 +67,6 @@ def _cycle_add_at(corr, exemplar):
     np.add.at(num, idx, flat[:, None] * np.repeat(warped, w.shape[1], axis=0))
     recon = np.divide(num, mass[:, None], out=np.zeros_like(num), where=mass[:, None] > 0)
     return float(np.abs(recon - z).mean())
-
-
-class TestConsistency:
-    def test_identical_grids(self):
-        grid = _grid(np.random.default_rng(130), 4, 4, 3)
-        assert consistency_loss(grid, grid) == 0.0
-
-    def test_unit_offset(self):
-        rng = np.random.default_rng(131)
-        a = _grid(rng, 5, 3, 2)
-        b = FeatureGrid(a.data + np.float32(1.0))
-        assert abs(consistency_loss(a, b) - 1.0) < 1e-7
-
-    def test_matches_summation_oracle(self):
-        rng = np.random.default_rng(132)
-        a, b = _grid(rng, 6, 7, 4), _grid(rng, 6, 7, 4)
-        naive = sum(
-            abs(float(a.data[i, j, c]) - float(b.data[i, j, c]))
-            for i in range(6) for j in range(7) for c in range(4)
-        ) / (6 * 7 * 4)
-        assert abs(consistency_loss(a, b) - naive) < 1e-6
-
-    def test_shape_mismatch(self):
-        rng = np.random.default_rng(133)
-        with pytest.raises(ValidationError):
-            consistency_loss(_grid(rng, 4, 4, 2), _grid(rng, 4, 4, 3))
 
 
 class TestCycle:
@@ -282,6 +255,16 @@ class TestBench:
         monkeypatch.setattr(metrics, "dense_correspondence_baseline", forbidden)
         with pytest.raises(ValidationError, match=f"k={k}"):
             run_bench([(96, 96, 8), (8, 8, 2)], block_side=2, k=k)
+
+    @pytest.mark.parametrize("lam", [0.0, math.nan, 1e308])
+    def test_lambda_validated_before_any_build(self, monkeypatch, lam):
+        # 1e308 is finite, but 4 * lambda scales the logits and overflows
+        def forbidden(*args, **kwargs):
+            pytest.fail("the dense baseline was built before lambda was validated")
+
+        monkeypatch.setattr(metrics, "dense_correspondence_baseline", forbidden)
+        with pytest.raises(ValidationError, match="lambda"):
+            run_bench([(96, 96, 8)], block_side=2, k=3, lam=lam)
 
     def test_csv_rendering(self):
         records = [

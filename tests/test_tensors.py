@@ -150,13 +150,6 @@ class TestNormalize:
         out = l2_normalize_features(grid)
         assert np.abs(out.data - grid.data).max() < 1e-6
 
-    def test_epsilon_must_be_positive(self):
-        grid = FeatureGrid(np.ones((1, 1, 1), dtype=np.float32))
-        with pytest.raises(ValidationError):
-            l2_normalize_features(grid, epsilon=0.0)
-        with pytest.raises(ValidationError):
-            l2_normalize_features(grid, epsilon=np.nan)
-
 
 class TestImmutability:
     def test_grid_data_is_read_only(self):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from rankwarp.tensors import ValidationError
+from rankwarp.correspondence import partition_blocks, rank_blocks
+from rankwarp.metrics import run_bench
+from rankwarp.tensors import FeatureGrid, ValidationError
 from rankwarp.topk import (
     TopKProblem,
     dual_gamma,
@@ -20,6 +22,27 @@ def _marginal_dev(plan, n, k):
     row = np.abs(t.sum(axis=1) - 1.0 / n).max()
     col = np.abs(t.sum(axis=0) - np.array([(n - k) / n, k / n])).max()
     return max(row, col)
+
+
+_FOUR_BLOCKS = partition_blocks(FeatureGrid(np.ones((4, 4, 2), dtype=np.float32)), 2)
+# every public entry point that takes k, each over N = 4 scores or blocks
+_K_ENTRY_POINTS = {
+    "TopKProblem": lambda k: TopKProblem(np.zeros(4), k),
+    "hard_topk_oracle": lambda k: hard_topk_oracle(np.zeros(4), k),
+    "dual_gamma": lambda k: dual_gamma(np.zeros((2, 4)), k, lam=50.0),
+    "rank_blocks": lambda k: rank_blocks(_FOUR_BLOCKS, _FOUR_BLOCKS, k),
+    "run_bench": lambda k: run_bench([(4, 4, 2)], block_side=2, k=k),
+}
+
+
+@pytest.mark.parametrize("k", [0, 1.5, np.nan, np.inf, np.float64(np.inf), 5],
+                         ids=["0", "1.5", "nan", "inf", "numpy-inf", "N+1"])
+@pytest.mark.parametrize("entry", sorted(_K_ENTRY_POINTS))
+def test_every_entry_point_refuses_a_k_that_is_not_a_whole_count(entry, k):
+    # a RuntimeWarning (NaN or inf through numpy's %) is an error here, not a ValidationError
+    with pytest.raises(ValidationError) as refused:
+        _K_ENTRY_POINTS[entry](k)
+    assert str(refused.value).startswith(f"k={k} ")
 
 
 class TestHardOracle:
@@ -296,8 +319,9 @@ class TestBatch:
             dual_gamma(np.zeros((3, 4)), np.array([1, 0, 2]), lam=50.0)
         with pytest.raises(ValidationError):
             dual_gamma(np.zeros((3, 4)), np.array([1, 5, 2]), lam=50.0)
-        with pytest.raises(ValidationError):
-            dual_gamma(np.zeros((3, 4)), np.array([1, 2.5, 2]), lam=50.0)
+        for bad in (np.array([1, 2.5, 2]), np.array([1, np.nan, 2]), np.array([1, np.inf, 2])):
+            with pytest.raises(ValidationError, match="^k="):
+                dual_gamma(np.zeros((3, 4)), bad, lam=50.0)
 
     @pytest.mark.parametrize(
         "knobs",
