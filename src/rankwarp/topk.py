@@ -34,9 +34,7 @@ def _check_lambda(lam) -> None:
 
 def _whole_count(k, n: int, of: str = "scores"):
     """``k`` as a whole count in 1..n: an int, or an int64 array for an array of counts."""
-    if type(k) is int and 1 <= k <= n:  # plain comparisons: this runs once per ranking problem
-        return k
-    # the range test comes first: NaN and inf fail it, and % would warn on them
+    # plain comparisons for a scalar; the range test comes first, so NaN and inf never reach %
     if isinstance(k, np.ndarray):
         if ((k >= 1) & (k <= n)).all() and not (k % 1).any():
             return k.astype(np.int64)

@@ -56,10 +56,7 @@ class TestHardOracle:
         assert hard_topk_oracle(np.array([0.5, 0.5, 0.1]), 1).tolist() == [True, False, False]
 
     def test_k_out_of_range(self):
-        with pytest.raises(ValidationError):
-            hard_topk_oracle(np.array([0.1]), 2)
-        with pytest.raises(ValidationError):
-            hard_topk_oracle(np.array([0.1, 0.3, 0.2]), 1.5)
+        # the refusals are in test_every_entry_point_refuses_a_k_that_is_not_a_whole_count;
         # a whole count given as a float selects as the int does
         assert hard_topk_oracle(np.array([0.1, 0.3, 0.2]), 2.0).tolist() == [False, True, True]
 
@@ -70,14 +67,8 @@ class TestProblem:
         assert p.scores.tolist() == [1.0, -1.0]
 
     def test_invalid_parameters(self):
-        with pytest.raises(ValidationError):
-            TopKProblem(np.array([0.1]), k=0)
-        with pytest.raises(ValidationError):
-            TopKProblem(np.array([0.5, 0.1, -0.2]), k=1.5)
-        for k in (np.nan, np.inf):
-            with pytest.raises(ValidationError):
-                TopKProblem(np.array([0.5, 0.1, -0.2]), k=k)
-        # a whole count given as a float is stored as that int
+        # a whole count given as a float is stored as that int (the k refusals are asserted
+        # for every entry point in test_every_entry_point_refuses_a_k_that_is_not_a_whole_count)
         scores = np.array([0.5, 0.1, -0.2, 0.3])
         whole = TopKProblem(scores, k=3.0)
         assert type(whole.k) is int
