@@ -312,9 +312,8 @@ def cmd_gradcheck(args) -> int:
         # stay clear of the clamp boundary: the operator is genuinely
         # non-differentiable where scores pin at +-1
         scores = rng.uniform(-0.95, 0.95, args.n)
-        problem = TopKProblem(
-            scores, k=args.k, lam=args.lam, max_iters=args.max_iters, tolerance=args.tolerance
-        )
+        # the gradient is the exact solution's, so gamma is solved as tightly as the differences
+        problem = TopKProblem(scores, k=args.k, lam=args.lam, tolerance=EXACT_TOLERANCE)
         upstream = rng.standard_normal(args.n)
         grad = dual_gamma_vjp(soft_topk(problem).gamma, upstream, problem.lam)
         reference = finite_difference_gradient(problem, upstream, step=args.step)
@@ -379,7 +378,7 @@ def cmd_bench(args) -> int:
 def _add_solver_flags(sub, stop_flags: bool = True) -> None:
     sub.add_argument("--k", type=_positive_int, default=_DEFAULTS.k)
     sub.add_argument("--lambda", dest="lam", type=_positive_float, default=_DEFAULTS.lam)
-    if stop_flags:  # bench runs the solver at its defaults
+    if stop_flags:  # bench solves at the defaults, gradcheck to EXACT_TOLERANCE
         sub.add_argument("--max-iters", type=_positive_int, default=_DEFAULTS.max_iters,
                          help="cap on Newton steps per problem")
         sub.add_argument("--tolerance", type=_positive_float, default=_DEFAULTS.tolerance,
@@ -417,9 +416,8 @@ def _parser() -> argparse.ArgumentParser:
     grad_p.add_argument("--trials", type=_positive_int, default=50)
     grad_p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
     grad_p.add_argument("--step", type=_positive_float, default=1e-4)
-    _add_solver_flags(grad_p)
-    # the gradient is the exact solution's, so gamma is solved as tightly as the differences
-    grad_p.set_defaults(func=cmd_gradcheck, lam=20.0, tolerance=EXACT_TOLERANCE)
+    _add_solver_flags(grad_p, stop_flags=False)
+    grad_p.set_defaults(func=cmd_gradcheck, lam=20.0)
 
     spe_p = subs.add_parser("spe", help="semantic position channels from a label mask")
     spe_p.add_argument("mask")

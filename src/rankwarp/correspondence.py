@@ -45,9 +45,7 @@ class BlockPartition:
     block_side: int
 
     def __post_init__(self) -> None:
-        if self.block_side % 1 or not self.block_side >= 1:
-            raise ValidationError(f"block_side={self.block_side} is not a positive whole number")
-        s = int(self.block_side)
+        s = _whole_count(self.block_side, of="sites", name="block_side")
         object.__setattr__(self, "block_side", s)
         if self.height % s or self.width % s:
             raise ValidationError(
@@ -105,7 +103,7 @@ class BlockRanking:
     """
 
     partition: BlockPartition
-    exemplar_blocks: int
+    exemplar_partition: BlockPartition  # of the exemplar grid the ranking was made on
     candidates: np.ndarray  # (N_q, k) int32, ascending per row
     gammas: np.ndarray  # (N_q, k) float64
     max_scores: np.ndarray  # (N_q,) float64
@@ -176,7 +174,7 @@ def rank_blocks(
         for span in spans:
             run(span)
     return BlockRanking(
-        partition=query.partition, exemplar_blocks=n_e, candidates=cand,
+        partition=query.partition, exemplar_partition=exemplar.partition, candidates=cand,
         gammas=gam, max_scores=mx, iterations=used, marginal_errors=errs,
         scored_pairs=n_q * n_e,
     )
@@ -248,8 +246,8 @@ def block_attention(
     partition = ranking.partition
     if (query_grid.height, query_grid.width) != (partition.height, partition.width):
         raise ValidationError("query grid does not match the partition")
-    e_part = BlockPartition(exemplar_grid.height, exemplar_grid.width, partition.block_side)
-    if e_part.block_count != ranking.exemplar_blocks:
+    e_part = ranking.exemplar_partition
+    if (exemplar_grid.height, exemplar_grid.width) != (e_part.height, e_part.width):
         raise ValidationError("exemplar grid does not match the ranking")
     if query_grid.channels != exemplar_grid.channels:
         raise ValidationError("channel counts differ")

@@ -216,9 +216,8 @@ def read_tensor(path) -> FeatureGrid | LabelMask:
         data = np.frombuffer(raw, "<f4", count=count, offset=dims_end).reshape(dims)
         if not np.isfinite(data).all():
             raise TensorFormatError(f"{path}: payload contains NaN or Inf")
-        return FeatureGrid(data.astype(np.float32))
-    data = np.frombuffer(raw, "<u4", count=count, offset=dims_end).reshape(dims)
-    return LabelMask(data.astype(np.uint32))
+        return FeatureGrid(data)
+    return LabelMask(np.frombuffer(raw, "<u4", count=count, offset=dims_end).reshape(dims))
 
 
 def unit_rows(v: np.ndarray) -> np.ndarray:
@@ -229,7 +228,7 @@ def unit_rows(v: np.ndarray) -> np.ndarray:
     the guard scale.
     """
     norms = np.sqrt((v * v).sum(axis=-1, keepdims=True))
-    return np.where(norms > _NORM_FLOOR, v / np.where(norms > _NORM_FLOOR, norms, 1.0), 0.0)
+    return np.divide(v, norms, out=np.zeros_like(v), where=norms > _NORM_FLOOR)
 
 
 def l2_normalize_features(grid: FeatureGrid) -> FeatureGrid:

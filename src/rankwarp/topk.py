@@ -32,15 +32,38 @@ def _check_lambda(lam) -> None:
         raise ValidationError(f"lambda must be positive with 4 * lambda finite, got {lam}")
 
 
-def _whole_count(k, n: int, of: str = "scores"):
-    """``k`` as a whole count in 1..n: an int, or an int64 array for an array of counts."""
-    # plain comparisons for a scalar; the range test comes first, so NaN and inf never reach %
+def _whole_count(k, n: float = math.inf, of: str = "scores", name: str = "k"):
+    """``name`` as a whole count in 1..n: an int, or an int64 array for an array of counts."""
+    # plain comparisons for a scalar; the range test comes first, and is k < n + 1 so that
+    # NaN and inf never reach %, also with no upper bound (n = inf)
     if isinstance(k, np.ndarray):
-        if ((k >= 1) & (k <= n)).all() and not (k % 1).any():
+        if ((k >= 1) & (k < n + 1)).all() and not (k % 1).any():
             return k.astype(np.int64)
-    elif 1 <= k <= n and not k % 1:
+    elif 1 <= k < n + 1 and not k % 1:
         return int(k)
-    raise ValidationError(f"k={k} is not a whole count in 1..{n} {of}")
+    raise ValidationError(f"{name}={k} is not a whole count in 1..{n} {of}")
+
+
+def _admit(scores, k, lam, max_iters, tolerance):
+    """The one check of :func:`dual_gamma`'s and :class:`TopKProblem`'s inputs.
+
+    Returns the (B, N) scores clamped to [-1, 1] and rounded to float32, k as
+    :func:`_whole_count` gives it (shared, or one per row) and ``max_iters`` as an int.
+    """
+    raw = np.asarray(scores, dtype=np.float64)
+    if raw.ndim != 2 or raw.shape[1] < 1:
+        raise ValidationError(f"scores must be (B, N) with N >= 1, got shape {raw.shape}")
+    if not np.isfinite(raw).all():
+        raise ValidationError("scores must be finite")
+    ks = np.asarray(k)
+    if ks.ndim and ks.shape != raw.shape[:1]:
+        raise ValidationError(f"per-problem k has shape {ks.shape}, expected {raw.shape[:1]}")
+    k = _whole_count(ks if ks.ndim else k, raw.shape[1], "scores per row")
+    _check_lambda(lam)
+    if not (tolerance > 0 and math.isfinite(tolerance)):
+        raise ValidationError("tolerance must be finite and positive")
+    max_iters = _whole_count(max_iters, of="Newton steps", name="max_iters")
+    return np.clip(raw, -1.0, 1.0).astype(np.float32), k, max_iters
 
 
 @dataclass(frozen=True)
@@ -54,20 +77,12 @@ class TopKProblem:
     tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.scores, dtype=np.float64).reshape(-1)
-        if a.size < 1:
-            raise ValidationError("scores must be non-empty")
-        if not np.isfinite(a).all():
-            raise ValidationError("scores must be finite")
-        object.__setattr__(self, "k", _whole_count(self.k, a.size))
-        _check_lambda(self.lam)
-        if self.max_iters < 1:
-            raise ValidationError("max_iters must be positive")
-        if not (np.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValidationError("tolerance must be finite and positive")
-        clamped = np.clip(a, -1.0, 1.0).astype(np.float32)
-        clamped.flags.writeable = False
-        object.__setattr__(self, "scores", clamped)
+        row = np.asarray(self.scores).reshape(1, -1)
+        scores, k, max_iters = _admit(row, self.k, self.lam, self.max_iters, self.tolerance)
+        scores.flags.writeable = False
+        object.__setattr__(self, "scores", scores[0])
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "max_iters", max_iters)
 
     @property
     def n(self) -> int:
@@ -98,39 +113,28 @@ def dual_gamma(
 
     Every plan row has mass 1/N, so gamma_i = sigmoid(4 * lam * a_i + t) with t
     the root of sum(gamma) = k, found by Newton steps that bisect a bracket on
-    the root whenever they leave it.  Scores must be finite; they are clamped
-    and rounded through float32 as in :class:`TopKProblem`.  ``k`` is one whole
+    the root whenever they leave it.  The inputs pass :class:`TopKProblem`'s
+    check, and the scores its clamp and float32 rounding; ``k`` is one whole
     count, shared or one per row.  A row stops once |sum(gamma) - k| <=
     ``tolerance`` or after ``max_iters`` steps.  Returns gamma (B, N) float64,
     the Newton steps per row and the final |sum(gamma) - k| per row.  The
     gradient needs only gamma: see :func:`dual_gamma_vjp`.
     """
-    raw = np.asarray(scores, dtype=np.float64)
-    if raw.ndim != 2:
-        raise ValidationError(f"scores must be (B, N), got shape {raw.shape}")
-    if not np.isfinite(raw).all():
-        raise ValidationError("scores must be finite")
-    b, n = raw.shape
-    ks = np.asarray(k)
-    if ks.ndim and ks.shape != (b,):
-        raise ValidationError(f"per-problem k has shape {ks.shape}, expected ({b},)")
-    ks = np.broadcast_to(_whole_count(ks if ks.ndim else k, n, "scores per row"), (b,))
-    _check_lambda(lam)
-    if not (np.isfinite(tolerance) and tolerance > 0):
-        raise ValidationError("tolerance must be finite and positive")
-    if max_iters < 1:
-        raise ValidationError("max_iters must be positive")
+    a, k, max_iters = _admit(scores, k, lam, max_iters, tolerance)
+    b, n = a.shape
+    ks = np.broadcast_to(k, (b,))
     gamma, iters, errors = np.ones((b, n)), np.zeros(b, dtype=int), np.zeros(b)
     # k == N rows keep gamma = 1 exactly; the others have a finite root
     rows = np.flatnonzero(ks < n)
     kk = ks[rows]
-    z = 4.0 * lam * np.clip(raw[rows], -1.0, 1.0).astype(np.float32).astype(np.float64)
+    z = 4.0 * lam * a[rows].astype(np.float64)
+    del a  # z carries the scores from here, so the float32 copy adds nothing to the peak
     # every logit is at most logit(k/N) at lo, so sum(gamma) <= k there; >= k at hi
     lo = np.log(kk) - np.log(n - kk) - z.max(axis=1)
     hi = np.log(kk) - np.log(n - kk) - z.min(axis=1)
     active = np.arange(rows.size)
     top = -np.sort(-z, axis=1)
-    t = np.clip(-0.5 * (top[active, kk - 1] + top[active, kk]), lo, hi)
+    t = np.minimum(np.maximum(-0.5 * (top[active, kk - 1] + top[active, kk]), lo), hi)
     for m in range(max_iters + 1):
         # sigmoid as exp(-log(1 + e^-x)), which keeps tiny weights' relative precision
         g = np.exp(-np.logaddexp(0.0, -(z[active] + t[active, None])))
@@ -201,7 +205,7 @@ def finite_difference_gradient(
     rows[diag, diag] += step
     rows[n + diag, diag] -= step
     # the clamp and rounding of TopKProblem, so the divisor sees the scores solved
-    rows = np.clip(rows, -1.0, 1.0).astype(np.float32).astype(np.float64)
+    rows = _admit(rows, problem.k, problem.lam, problem.max_iters, EXACT_TOLERANCE)[0].astype(np.float64)
     gamma, _, _ = dual_gamma(rows, problem.k, problem.lam, problem.max_iters, EXACT_TOLERANCE)
     losses = gamma @ up
     denom = rows[diag, diag] - rows[n + diag, diag]

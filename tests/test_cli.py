@@ -590,18 +590,33 @@ class TestGradcheckCommand:
     def test_k_above_n_usage_error(self):
         assert main(["gradcheck", "--n", "2", "--k", "5", "--trials", "1"]) == 2
 
+    def test_no_stop_flags(self, capsys):
+        # the check solves to EXACT_TOLERANCE: at --tolerance 1e-6 a correct gradient read 0.297 FAIL
+        for flag, value in (("--tolerance", "1e-6"), ("--max-iters", "3")):
+            with pytest.raises(SystemExit) as exc:
+                main(["gradcheck", flag, value])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["gradcheck", "--help"])
+        usage = capsys.readouterr().out
+        assert "--lambda" in usage
+        assert "--max-iters" not in usage and "--tolerance" not in usage
+
     def test_zero_lambda_rejected_by_parser(self):
         with pytest.raises(SystemExit) as exc:
             main(["gradcheck", "--lambda", "0"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("flag,value", [
-        ("--lambda", "nan"), ("--lambda", "inf"), ("--tolerance", "nan"),
-    ])
-    @pytest.mark.parametrize("command", [
-        ["topk", "--scores", "0.5,0.1,-0.2", "--k", "1"],
-        ["gradcheck", "--n", "4", "--trials", "1"],
-        ["warp", "cond.ftn", "exem.ftn"],
+    @pytest.mark.parametrize("command,flag,value", [
+        pytest.param(command, flag, value, id=f"command{i}-{flag}-{value}")
+        for i, command in enumerate([
+            ["topk", "--scores", "0.5,0.1,-0.2", "--k", "1"],
+            ["gradcheck", "--n", "4", "--trials", "1"],
+            ["warp", "cond.ftn", "exem.ftn"],
+        ])
+        for flag, value in (("--lambda", "nan"), ("--lambda", "inf"), ("--tolerance", "nan"))
+        if not (command[0] == "gradcheck" and flag == "--tolerance")  # gradcheck has no --tolerance
     ])
     def test_non_finite_solver_argument_rejected_by_parser(self, capsys, command, flag, value):
         with pytest.raises(SystemExit) as exc:

@@ -52,8 +52,9 @@ class TestPartition:
     def test_nonpositive_side_rejected(self):
         with pytest.raises(ValidationError):
             BlockPartition(4, 4, 0)
-        for side in (1.5, -2.0, np.nan, np.inf):
-            with pytest.raises(ValidationError):
+        # a RuntimeWarning (NaN or inf through numpy's %) is an error here, not a ValidationError
+        for side in (1.5, 2.5, -2.0, np.nan, np.inf, np.float64(np.inf)):
+            with pytest.raises(ValidationError, match="^block_side="):
                 BlockPartition(4, 4, side)
         # a whole side given as a float is stored as that int
         assert type(BlockPartition(4, 4, 2.0).block_side) is int
@@ -314,6 +315,17 @@ class TestAttention:
             block_attention(query, _grid(rng, 4, 4, 3), ranking, tau=0.1)
         with pytest.raises(ValidationError):
             block_attention(query, _grid(rng, 8, 8, 2), ranking, tau=0.1)
+
+    def test_exemplar_layout_must_match_the_ranking(self):
+        # 8x32 and 16x16 grids both tile into 64 blocks of side 2, but a ranking made
+        # on the first would link the second's sites at the wrong places
+        rng = np.random.default_rng(56)
+        query, wide = _grid(rng, 16, 16, 2), _grid(rng, 8, 32, 2)
+        ranking = rank_blocks(partition_blocks(query, 2), partition_blocks(wide, 2), k=2)
+        assert ranking.exemplar_partition == BlockPartition(8, 32, 2)
+        block_attention(query, wide, ranking, tau=0.1)
+        with pytest.raises(ValidationError, match="exemplar grid does not match the ranking"):
+            block_attention(query, _grid(rng, 16, 16, 2), ranking, tau=0.1)
 
 
 class TestNormalizerGuard:

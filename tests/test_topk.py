@@ -1,5 +1,7 @@
 """Forward behavior of the transport-based soft top-k solver."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -66,23 +68,20 @@ class TestProblem:
         p = TopKProblem(np.array([2.0, -3.0]), k=1)
         assert p.scores.tolist() == [1.0, -1.0]
 
-    def test_invalid_parameters(self):
-        # a whole count given as a float is stored as that int (the k refusals are asserted
-        # for every entry point in test_every_entry_point_refuses_a_k_that_is_not_a_whole_count)
+    def test_whole_float_counts_accepted(self):
+        # a whole count given as a float is stored as that int and solves as it does (the
+        # refusals are in test_every_entry_point_refuses_a_k_that_is_not_a_whole_count and
+        # TestBatch::test_bad_solver_parameters)
         scores = np.array([0.5, 0.1, -0.2, 0.3])
-        whole = TopKProblem(scores, k=3.0)
-        assert type(whole.k) is int
-        assert soft_topk(whole).hard.tolist() == [True, True, False, True]
-        assert soft_topk(whole).gamma.tobytes() == soft_topk(TopKProblem(scores, k=3)).gamma.tobytes()
-        with pytest.raises(ValidationError):
-            TopKProblem(np.array([0.1]), k=1, lam=-1.0)
-        with pytest.raises(ValidationError):
-            TopKProblem(np.array([0.1]), k=1, tolerance=0.0)
-        # a lambda whose 4 * lambda overflows would give infinite logits
-        for bad in (dict(lam=np.nan), dict(lam=np.inf), dict(lam=1e308), dict(tolerance=np.nan),
-                    dict(tolerance=np.inf)):
-            with pytest.raises(ValidationError):
-                TopKProblem(np.array([0.5, 0.1, -0.2]), k=1, **bad)
+        exact = soft_topk(TopKProblem(scores, k=3, lam=1.0, max_iters=3))
+        for counts in (dict(k=3.0, max_iters=3), dict(k=3, max_iters=np.float64(3.0))):
+            whole = TopKProblem(scores, lam=1.0, **counts)
+            assert (type(whole.k), type(whole.max_iters)) == (int, int)
+            assert soft_topk(whole).hard.tolist() == [True, True, False, True]
+            assert soft_topk(whole).gamma.tobytes() == exact.gamma.tobytes()
+        gamma, iters, _ = dual_gamma(scores[None], 3, 1.0, max_iters=np.float64(3.0))
+        assert gamma.tobytes() == exact.gamma[None].tobytes()
+        assert iters.tolist() == [3]
 
 
 class TestSolve:
@@ -319,11 +318,18 @@ class TestBatch:
         [{"lam": np.nan}, {"lam": np.inf}, {"lam": 0.0}, {"tolerance": np.nan},
          {"tolerance": np.inf}, {"tolerance": 0.0}, {"max_iters": 0},
          {"scores": np.array([[0.1, np.nan]])}, {"scores": np.array([[np.inf, 0.0]])},
-         {"k": 2.7}, {"k": np.nan}, {"lam": 1e308}],
+         {"k": 2.7}, {"k": np.nan}, {"lam": 1e308}, {"max_iters": 2.5},
+         {"max_iters": np.nan}, {"max_iters": np.inf}, {"max_iters": np.float64(np.inf)}],
     )
     def test_bad_solver_parameters(self, knobs):
-        with pytest.raises(ValidationError):
-            dual_gamma(**{"scores": np.zeros((3, 4)), "k": 1, "lam": 50.0, **knobs})
+        # dual_gamma and TopKProblem admit their inputs by one rule: each refusal is a
+        # ValidationError from both, with no RuntimeWarning on the way
+        problem = {"scores": np.zeros((3, 4)), "k": 1, "lam": 50.0, **knobs}
+        for entry in (dual_gamma, TopKProblem):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValidationError):
+                    entry(**problem)
 
     def test_bad_shapes(self):
         with pytest.raises(ValidationError):
