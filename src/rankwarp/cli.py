@@ -266,7 +266,7 @@ def cmd_warp(args) -> int:
 
     ranking = rank_blocks(
         partition_blocks(query, args.block_side), partition_blocks(target, args.block_side),
-        args.k, lam=args.lam, iters=args.max_iters, tol=args.tolerance,
+        args.k, lam=args.lam, max_iters=args.max_iters, tolerance=args.tolerance,
     )
     corr = block_attention(query, target, ranking, args.tau)
     warped = warp(corr, exem)  # warp carries the original exemplar features

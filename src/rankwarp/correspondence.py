@@ -112,9 +112,9 @@ class BlockRanking:
     scored_pairs: int
 
 
-def _rank_chunk(qn, en, k, lam, iters, tol):
+def _rank_chunk(qn, en, k, lam, max_iters, tolerance):
     scores = qn @ en.T
-    gamma, used, errs = dual_gamma(scores, k, lam, iters, tol)
+    gamma, used, errs = dual_gamma(scores, k, lam, max_iters, tolerance)
     order = np.argsort(-gamma, axis=1, kind="stable")[:, :k]
     cand = np.sort(order, axis=1).astype(np.int32)
     g = np.take_along_axis(gamma, cand, axis=1)
@@ -133,13 +133,13 @@ def rank_blocks(
     exemplar: BlockFeatures,
     k: int,
     lam: float = 50.0,
-    iters: int = 100,
-    tol: float = 1e-6,
+    max_iters: int = 100,
+    tolerance: float = 1e-6,
 ) -> BlockRanking:
     """Retrieve the top-k exemplar blocks for every query block.
 
     Each query block's N cosine scores form one ranking problem, solved to
-    |sum(gamma) - k| <= ``tol`` in at most ``iters`` Newton steps by
+    |sum(gamma) - k| <= ``tolerance`` in at most ``max_iters`` Newton steps by
     :func:`~rankwarp.topk.dual_gamma`.  Candidates are the k largest soft
     weights, ties toward the lower block index.
     Two or more chunks of query blocks rank on min(CPUs, chunks) threads;
@@ -164,7 +164,7 @@ def rank_blocks(
 
     def run(span):
         c0, c1 = span
-        out = _rank_chunk(query.normalized[c0:c1], exemplar.normalized, k, lam, iters, tol)
+        out = _rank_chunk(query.normalized[c0:c1], exemplar.normalized, k, lam, max_iters, tolerance)
         cand[c0:c1], gam[c0:c1], mx[c0:c1], used[c0:c1], errs[c0:c1] = out
 
     if threads >= 2:

@@ -157,11 +157,13 @@ def run_bench(
     row rather than aborting the sweep.  ``repetitions`` = 0 skips the timed
     builds and leaves ``ms`` NaN; peaks and counts are unchanged.
     """
-    block_area = block_side * block_side
-    # a bad lambda, a size that does not tile, or one with fewer than k blocks fails before any build
+    # a bad lambda, a size that does not tile, or one with fewer than k blocks fails before any
+    # build; the records carry b and k as the partition and the count check give them
     _check_lambda(lam)
     for height, width, _ in sizes:
-        _whole_count(k, BlockPartition(height, width, block_side).block_count, f"blocks of {height}x{width}")
+        part = BlockPartition(height, width, block_side)
+        block_area = part.block_area
+        k = _whole_count(k, part.block_count, f"blocks of {height}x{width}")
     records = []
     for height, width, depth in sizes:
         rng = np.random.default_rng([seed, height, width, depth])

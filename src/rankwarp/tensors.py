@@ -10,8 +10,9 @@ every CLI run is byte-reproducible:
 
 dtype code 1 is float32 (ndim must be 3, a feature grid), dtype code 2 is
 uint32 (ndim must be 2, a label mask).  Files are rejected on bad magic,
-unknown dtype, wrong rank, payload length mismatch, or non-finite floats,
-each with a :class:`TensorFormatError` that names the failure.
+unknown dtype, wrong rank, payload length mismatch, a zero dimension, or
+non-finite floats, each with a :class:`TensorFormatError` that names the
+failure.
 
 Every file a command writes goes through :func:`publish`, so while one
 command at a time writes a path, its name only ever holds a complete file:
@@ -187,7 +188,8 @@ def read_tensor(path) -> FeatureGrid | LabelMask:
     """Read an FTN1 file back into a :class:`FeatureGrid` or :class:`LabelMask`.
 
     Raises :class:`TensorFormatError` on bad magic, unknown dtype code,
-    unsupported rank, payload length mismatch, or non-finite float payload.
+    unsupported rank, payload length mismatch, a zero dimension, or non-finite
+    float payload.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -212,12 +214,12 @@ def read_tensor(path) -> FeatureGrid | LabelMask:
         raise TensorFormatError(
             f"{path}: payload is {len(raw) - dims_end} bytes, expected {4 * count}"
         )
-    if code == DTYPE_FLOAT32:
-        data = np.frombuffer(raw, "<f4", count=count, offset=dims_end).reshape(dims)
-        if not np.isfinite(data).all():
-            raise TensorFormatError(f"{path}: payload contains NaN or Inf")
-        return FeatureGrid(data)
-    return LabelMask(np.frombuffer(raw, "<u4", count=count, offset=dims_end).reshape(dims))
+    kind, dtype = (FeatureGrid, "<f4") if code == DTYPE_FLOAT32 else (LabelMask, "<u4")
+    try:
+        # the grid's own checks refuse a zero dimension or a NaN or Inf payload
+        return kind(np.frombuffer(raw, dtype, count=count, offset=dims_end).reshape(dims))
+    except ValidationError as exc:
+        raise TensorFormatError(f"{path}: {exc}") from exc
 
 
 def unit_rows(v: np.ndarray) -> np.ndarray:

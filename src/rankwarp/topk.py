@@ -32,14 +32,11 @@ def _check_lambda(lam) -> None:
         raise ValidationError(f"lambda must be positive with 4 * lambda finite, got {lam}")
 
 
-def _whole_count(k, n: float = math.inf, of: str = "scores", name: str = "k"):
-    """``name`` as a whole count in 1..n: an int, or an int64 array for an array of counts."""
-    # plain comparisons for a scalar; the range test comes first, and is k < n + 1 so that
-    # NaN and inf never reach %, also with no upper bound (n = inf)
-    if isinstance(k, np.ndarray):
-        if ((k >= 1) & (k < n + 1)).all() and not (k % 1).any():
-            return k.astype(np.int64)
-    elif 1 <= k < n + 1 and not k % 1:
+def _whole_count(k, n: float = math.inf, of: str = "scores", name: str = "k") -> int:
+    """``name`` as an int in 1..n: one whole count, given as an int or a whole float."""
+    # the range test comes first, and is k < n + 1 so that NaN and inf never reach %,
+    # also with no upper bound (n = inf); an array, even of one count, is refused
+    if np.ndim(k) == 0 and 1 <= k < n + 1 and not k % 1:
         return int(k)
     raise ValidationError(f"{name}={k} is not a whole count in 1..{n} {of}")
 
@@ -47,18 +44,15 @@ def _whole_count(k, n: float = math.inf, of: str = "scores", name: str = "k"):
 def _admit(scores, k, lam, max_iters, tolerance):
     """The one check of :func:`dual_gamma`'s and :class:`TopKProblem`'s inputs.
 
-    Returns the (B, N) scores clamped to [-1, 1] and rounded to float32, k as
-    :func:`_whole_count` gives it (shared, or one per row) and ``max_iters`` as an int.
+    Returns the (B, N) scores clamped to [-1, 1] and rounded to float32, and
+    ``k`` and ``max_iters`` as ints.
     """
     raw = np.asarray(scores, dtype=np.float64)
     if raw.ndim != 2 or raw.shape[1] < 1:
         raise ValidationError(f"scores must be (B, N) with N >= 1, got shape {raw.shape}")
     if not np.isfinite(raw).all():
         raise ValidationError("scores must be finite")
-    ks = np.asarray(k)
-    if ks.ndim and ks.shape != raw.shape[:1]:
-        raise ValidationError(f"per-problem k has shape {ks.shape}, expected {raw.shape[:1]}")
-    k = _whole_count(ks if ks.ndim else k, raw.shape[1], "scores per row")
+    k = _whole_count(k, raw.shape[1], "scores per row")
     _check_lambda(lam)
     if not (tolerance > 0 and math.isfinite(tolerance)):
         raise ValidationError("tolerance must be finite and positive")
@@ -107,7 +101,7 @@ def hard_topk_oracle(scores: np.ndarray, k: int) -> np.ndarray:
 
 
 def dual_gamma(
-    scores: np.ndarray, k: int | np.ndarray, lam: float, max_iters: int = 100, tolerance: float = 1e-6
+    scores: np.ndarray, k: int, lam: float, max_iters: int = 100, tolerance: float = 1e-6
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve B ranking problems (rows of ``scores``) exactly through their scalar dual.
 
@@ -115,36 +109,35 @@ def dual_gamma(
     the root of sum(gamma) = k, found by Newton steps that bisect a bracket on
     the root whenever they leave it.  The inputs pass :class:`TopKProblem`'s
     check, and the scores its clamp and float32 rounding; ``k`` is one whole
-    count, shared or one per row.  A row stops once |sum(gamma) - k| <=
-    ``tolerance`` or after ``max_iters`` steps.  Returns gamma (B, N) float64,
-    the Newton steps per row and the final |sum(gamma) - k| per row.  The
-    gradient needs only gamma: see :func:`dual_gamma_vjp`.
+    count for every row.  A row stops once |sum(gamma) - k| <= ``tolerance``
+    or after ``max_iters`` steps.  Returns gamma (B, N) float64, the Newton
+    steps per row and the final |sum(gamma) - k| per row.  The gradient needs
+    only gamma: see :func:`dual_gamma_vjp`.
     """
     a, k, max_iters = _admit(scores, k, lam, max_iters, tolerance)
     b, n = a.shape
-    ks = np.broadcast_to(k, (b,))
-    gamma, iters, errors = np.ones((b, n)), np.zeros(b, dtype=int), np.zeros(b)
-    # k == N rows keep gamma = 1 exactly; the others have a finite root
-    rows = np.flatnonzero(ks < n)
-    kk = ks[rows]
-    z = 4.0 * lam * a[rows].astype(np.float64)
+    if k == n:
+        # the column constraint forces gamma = 1 exactly, with no step to take
+        return np.ones((b, n)), np.zeros(b, dtype=int), np.zeros(b)
+    gamma, iters, errors = np.empty((b, n)), np.zeros(b, dtype=int), np.empty(b)
+    z = 4.0 * lam * a.astype(np.float64)
     del a  # z carries the scores from here, so the float32 copy adds nothing to the peak
     # every logit is at most logit(k/N) at lo, so sum(gamma) <= k there; >= k at hi
-    lo = np.log(kk) - np.log(n - kk) - z.max(axis=1)
-    hi = np.log(kk) - np.log(n - kk) - z.min(axis=1)
-    active = np.arange(rows.size)
+    logit = np.log(k) - np.log(n - k)
+    lo, hi = logit - z.max(axis=1), logit - z.min(axis=1)
+    active = np.arange(b)
     top = -np.sort(-z, axis=1)
-    t = np.minimum(np.maximum(-0.5 * (top[active, kk - 1] + top[active, kk]), lo), hi)
+    t = np.minimum(np.maximum(-0.5 * (top[:, k - 1] + top[:, k]), lo), hi)
     for m in range(max_iters + 1):
         # sigmoid as exp(-log(1 + e^-x)), which keeps tiny weights' relative precision
         g = np.exp(-np.logaddexp(0.0, -(z[active] + t[active, None])))
-        excess = g.sum(axis=1) - kk[active]
-        gamma[rows[active]], errors[rows[active]] = g, np.abs(excess)
+        excess = g.sum(axis=1) - k
+        gamma[active], errors[active] = g, np.abs(excess)
         keep = np.abs(excess) > tolerance
         if m == max_iters or not keep.any():
             break
         active, g, excess = active[keep], g[keep], excess[keep]
-        iters[rows[active]] = m + 1
+        iters[active] = m + 1
         lo[active[excess < 0]] = t[active[excess < 0]]
         hi[active[excess > 0]] = t[active[excess > 0]]
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -65,15 +65,13 @@ def test_01_topk_identifies_oracle_set(capsys):
                 break
         instances.append((n, k, scores))
 
-    by_n: dict[int, list[tuple[int, np.ndarray]]] = {}
+    by_count: dict[tuple[int, int], list[np.ndarray]] = {}
     for n, k, scores in instances:
-        by_n.setdefault(n, []).append((k, scores))
+        by_count.setdefault((n, k), []).append(scores)
     exact = 0
-    for n, group in by_n.items():
-        ks = np.array([k for k, _ in group])
-        block = np.stack([s for _, s in group])
-        gamma, _, _ = dual_gamma(block, ks, 200.0, max_iters=4000, tolerance=1e-4)
-        for row, (k, scores) in zip(gamma, group):
+    for (n, k), group in by_count.items():
+        gamma, _, _ = dual_gamma(np.stack(group), k, 200.0, max_iters=4000, tolerance=1e-4)
+        for row, scores in zip(gamma, group):
             picked = np.sort(np.argsort(-row, kind="stable")[:k])
             if np.array_equal(picked, np.flatnonzero(hard_topk_oracle(scores, k))):
                 exact += 1

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import rankwarp
-from rankwarp import cli, correspondence
+from rankwarp import cli
 from rankwarp.cli import _write_correspondence_csv, main
 from rankwarp.correspondence import BlockPartition, SparseCorrespondence
 from rankwarp.posenc import vanilla_pe
@@ -453,22 +453,18 @@ class TestCorrespondenceCsv:
         weights = (10.0 ** rng.uniform(-9, 0, rows * width)).astype(np.float32)
         self._assert_matches_oracle(tmp_path, weights, 4099, rng, width=width)
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_chunks_serial_and_threaded(self, tmp_path, monkeypatch, cpus):
+    def test_chunks_serial_and_threaded(self, tmp_path, monkeypatch):
         # 10009 query sites (five-digit queries) in 31 chunks of 333 rows,
-        # the last one ragged; the bytes do not depend on the CPU count
+        # the last one ragged
         monkeypatch.setattr(cli, "_CSV_CHUNK_ENTRIES", 1000)
-        monkeypatch.setattr(correspondence, "_cpus", lambda: cpus)
         rng = np.random.default_rng(186)
         weights = (10.0 ** rng.uniform(-16, 0, 10009 * 3)).astype(np.float32)
         self._assert_matches_oracle(tmp_path, weights, 123457, rng, width=3)
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_write_failure_raises_and_joins_the_writer(self, monkeypatch, cpus):
-        # whatever the CPU count, the error reaches the caller and no thread is left
+    def test_write_failure_raises_and_joins_the_writer(self, monkeypatch):
+        # the error reaches the caller and no thread is left
         monkeypatch.setattr(cli, "_CSV_CHUNK_ENTRIES", 1000)
-        monkeypatch.setattr(correspondence, "_cpus", lambda: cpus)
         rng = np.random.default_rng(188)
         weights = (10.0 ** rng.uniform(-9, 0, 3000 * 3)).astype(np.float32)
         corr = _row_correspondence(weights, 4099, rng, width=3)  # 9 chunks

@@ -25,10 +25,10 @@ def _grid(rng, h, w, d):
     return FeatureGrid(rng.standard_normal((h, w, d)).astype(np.float32))
 
 
-def _pipeline(query, exemplar, side, k, tau, lam=50.0, iters=100):
+def _pipeline(query, exemplar, side, k, tau):
     qf = partition_blocks(query, side)
     ef = partition_blocks(exemplar, side)
-    ranking = rank_blocks(qf, ef, k, lam=lam, iters=iters)
+    ranking = rank_blocks(qf, ef, k)
     return ranking, block_attention(query, exemplar, ranking, tau)
 
 
@@ -212,7 +212,7 @@ class TestRanking:
         # the full score matrix is never kept; only the count of scored pairs
         rng = np.random.default_rng(47)
         big = partition_blocks(_grid(rng, 48, 48, 2), 2)
-        ranking = rank_blocks(big, big, k=1, iters=5)
+        ranking = rank_blocks(big, big, k=1, max_iters=5)
         assert ranking.scored_pairs == 576 * 576
 
     def test_candidate_rows_ascending(self):

@@ -195,6 +195,16 @@ class TestBench:
         b = run_bench([(8, 8, 3)], block_side=2, k=2)
         assert [key(r) for r in a] == [key(r) for r in b]
 
+    def test_whole_float_counts_recorded_as_ints(self):
+        # b and k as the partition and the count check give them: "4,3", not "4.0,3.0";
+        # every column but the traced peak and the wall time (6 and 7) is content
+        def content(records):
+            return [[f for i, f in enumerate(r.csv_row().split(",")) if i not in (6, 7)] for r in records]
+
+        floats = content(run_bench([(8, 8, 2)], block_side=2.0, k=3.0, repetitions=0))
+        assert floats == content(run_bench([(8, 8, 2)], block_side=2, k=3, repetitions=0))
+        assert [row[2:4] for row in floats] == [["4", "3"], ["4", "3"]]
+
     def test_parallel_mode_identical_counts_and_gap(self, ranking_cpus):
         key = lambda r: (r.method, r.entries, r.ranking_scores, r.warp_l1)
         ranking_cpus(1)

@@ -102,7 +102,16 @@ class TestRejection:
         dims = np.array([1, 1, 1], dtype="<u4").tobytes()
         payload = np.array([np.nan], dtype="<f4").tobytes()
         path.write_bytes(b"FTN1" + bytes([1, 3]) + dims + payload)
-        with pytest.raises(TensorFormatError, match="payload contains NaN or Inf"):
+        with pytest.raises(TensorFormatError, match="feature grid contains NaN or Inf"):
+            read_tensor(path)
+
+    @pytest.mark.parametrize("code, dims, kind", [(1, (0, 4, 3), "feature grid"), (2, (4, 0), "label mask")],
+                             ids=["float32", "uint32"])
+    def test_zero_dimension(self, tmp_path, code, dims, kind):
+        # the header is consistent, with an empty payload; the grid's own check refuses it
+        path = tmp_path / "x.ftn"
+        path.write_bytes(b"FTN1" + bytes([code, len(dims)]) + np.array(dims, dtype="<u4").tobytes())
+        with pytest.raises(TensorFormatError, match=f"{kind} dims must be positive"):
             read_tensor(path)
 
     def test_nan_rejected_at_construction(self):

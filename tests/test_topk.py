@@ -37,8 +37,8 @@ _K_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("k", [0, 1.5, np.nan, np.inf, np.float64(np.inf), 5],
-                         ids=["0", "1.5", "nan", "inf", "numpy-inf", "N+1"])
+@pytest.mark.parametrize("k", [0, 1.5, np.nan, np.inf, np.float64(np.inf), 5, np.array([3])],
+                         ids=["0", "1.5", "nan", "inf", "numpy-inf", "N+1", "array"])
 @pytest.mark.parametrize("entry", sorted(_K_ENTRY_POINTS))
 def test_every_entry_point_refuses_a_k_that_is_not_a_whole_count(entry, k):
     # a RuntimeWarning (NaN or inf through numpy's %) is an error here, not a ValidationError
@@ -245,12 +245,12 @@ class TestBatch:
     # lambda (still off by 1e-6 in plan units after 20000 steps), so the
     # 1e-8 bound applies to the rows it converges on; every row must still
     # rank the same k first.
-    def _check_against_sinkhorn(self, scores, ks, lam):
-        gamma, _, errs = dual_gamma(scores, ks, lam, tolerance=1e-12)
+    def _check_against_sinkhorn(self, scores, k, lam):
+        gamma, _, errs = dual_gamma(scores, k, lam, tolerance=1e-12)
         assert errs.max() <= 1e-12
         converged = 0
-        for i, k in enumerate(np.broadcast_to(ks, len(scores))):
-            ref, done = _sinkhorn_reference(scores[i], int(k), lam)
+        for i in range(len(scores)):
+            ref, done = _sinkhorn_reference(scores[i], k, lam)
             top = np.sort(np.argsort(-gamma[i], kind="stable")[:k])
             assert np.array_equal(top, np.sort(np.argsort(-ref, kind="stable")[:k])), f"row {i}"
             if done:
@@ -270,14 +270,14 @@ class TestBatch:
         assert errs.tolist() == [0.0, 0.0, 0.0]
 
     def test_per_problem_k_matches_converged_single_solves(self):
-        # mixed counts in one call, k == n rows included
+        # mixed counts, one call per count, k == n rows included
         rng = np.random.default_rng(52)
         scores = rng.uniform(-1, 1, (9, 12))
         ks = np.array([1, 3, 12, 5, 7, 2, 12, 9, 4])
-        assert self._check_against_sinkhorn(scores, ks, 35.0) >= 6
-        gamma, iters, _ = dual_gamma(scores, ks, lam=35.0)
-        assert np.array_equal(gamma[ks == 12], np.ones((2, 12)))
-        assert iters[ks == 12].tolist() == [0, 0]
+        assert sum(self._check_against_sinkhorn(scores[ks == k], k, 35.0) for k in np.unique(ks)) >= 6
+        gamma, iters, _ = dual_gamma(scores[ks == 12], 12, lam=35.0)
+        assert np.array_equal(gamma, np.ones((2, 12)))
+        assert iters.tolist() == [0, 0]
 
     def test_stopped_rows_meet_tolerance(self):
         rng = np.random.default_rng(53)
@@ -285,13 +285,14 @@ class TestBatch:
             for n in (4, 64, 1024, 4096):
                 scores = rng.uniform(-1, 1, (16, n))
                 ks = rng.integers(1, n + 1, 16)
-                gamma, iters, errs = dual_gamma(scores, ks, lam, max_iters=100, tolerance=1e-6)
-                true_err = np.abs(gamma.sum(axis=1) - ks)
-                stopped = iters < 100
-                assert stopped.all(), f"lam={lam} N={n}: a row used all 100 steps"
-                assert (true_err[stopped] <= 1e-6).all(), f"lam={lam} N={n}"
-                assert np.array_equal(errs, true_err)
-                assert ((gamma >= 0) & (gamma <= 1)).all()
+                for row, k in zip(scores, ks):
+                    gamma, iters, errs = dual_gamma(row[None], k, lam, max_iters=100, tolerance=1e-6)
+                    true_err = np.abs(gamma.sum(axis=1) - k)
+                    stopped = iters < 100
+                    assert stopped.all(), f"lam={lam} N={n} k={k}: the row used all 100 steps"
+                    assert (true_err[stopped] <= 1e-6).all(), f"lam={lam} N={n} k={k}"
+                    assert np.array_equal(errs, true_err)
+                    assert ((gamma >= 0) & (gamma <= 1)).all()
 
     def test_step_cap_reports_true_error(self):
         rng = np.random.default_rng(54)
@@ -303,15 +304,12 @@ class TestBatch:
         assert np.array_equal(errs, np.abs(gamma.sum(axis=1) - 3))
 
     def test_per_problem_k_validation(self):
-        with pytest.raises(ValidationError):
-            dual_gamma(np.zeros((3, 4)), np.array([1, 2]), lam=50.0)
-        with pytest.raises(ValidationError):
-            dual_gamma(np.zeros((3, 4)), np.array([1, 0, 2]), lam=50.0)
-        with pytest.raises(ValidationError):
-            dual_gamma(np.zeros((3, 4)), np.array([1, 5, 2]), lam=50.0)
-        for bad in (np.array([1, 2.5, 2]), np.array([1, np.nan, 2]), np.array([1, np.inf, 2])):
+        # k is one count for every row: an array of counts is refused, even one that
+        # matches the rows and holds only valid counts
+        for ks in (np.array([1, 2]), np.array([1, 0, 2]), np.array([1, 5, 2]), np.array([1, 2.5, 2]),
+                   np.array([1, np.nan, 2]), np.array([1, np.inf, 2]), np.array([1, 2, 3])):
             with pytest.raises(ValidationError, match="^k="):
-                dual_gamma(np.zeros((3, 4)), bad, lam=50.0)
+                dual_gamma(np.zeros((3, 4)), ks, lam=50.0)
 
     @pytest.mark.parametrize(
         "knobs",
