@@ -15,10 +15,12 @@ import argparse
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import correspondence
 from .correspondence import SparseCorrespondence, block_attention, partition_blocks, rank_blocks, warp
 from .fusion import ConfidenceMap, confidence_map, fuse, fuse_multichannel
 from .metrics import render_csv, run_bench
@@ -205,9 +207,10 @@ def _weight_words(words: np.ndarray, w: np.ndarray) -> None:
 def _write_correspondence_csv(path: str, corr: SparseCorrespondence) -> None:
     """Write the ``q,e,w`` lines of a ranked correspondence, w as ``%.9g`` of the float32 weight.
 
-    Each chunk of whole query rows is formatted into one reused line matrix;
-    its NUL bytes are then dropped and the text written in one call.  A row's
-    exemplar indices are its block's links.
+    Each chunk of whole query rows is formatted into its thread's reused line
+    matrix and its NUL bytes are dropped; chunks are formatted on
+    min(CPUs, chunks) threads, and the calling thread writes each text in one
+    call, in chunk order.  A row's exemplar indices are its block's links.
     """
     sites, m = corr.weights.shape
     blocks = corr.site_blocks()
@@ -220,20 +223,29 @@ def _write_correspondence_csv(path: str, corr: SparseCorrespondence) -> None:
     exemplar = _index_words(distinct.tolist(), e_words, comma=False)[inverse]
     exemplar = exemplar.reshape(*corr.links.shape, e_words)
     rows_per_chunk = max(1, _CSV_CHUNK_ENTRIES // m)
-    # reusing one buffer spares faulting in fresh pages for every chunk
-    buffer = np.empty((min(rows_per_chunk, sites) * m, w0 + 3), dtype=np.uint64)
+    # each thread reuses one line buffer, which spares faulting in fresh pages
+    # for every chunk; one per thread, not per chunk in flight, stays in cache
+    own = threading.local()
+
+    def format_chunk(r0):
+        r1 = min(r0 + rows_per_chunk, sites)
+        if not hasattr(own, "buffer"):
+            own.buffer = np.empty((min(rows_per_chunk, sites) * m, w0 + 3), dtype=np.uint64)
+        lines = own.buffer[: (r1 - r0) * m]
+        fields = lines.reshape(r1 - r0, m, w0 + 3)
+        # the query and its comma, once per row, then on its m lines
+        fields[:, :, :q_words] = _index_words(range(r0, r1), q_words, comma=True)[:, None]
+        fields[:, :, q_words:w0] = exemplar[blocks[r0:r1]]
+        _weight_words(lines[:, w0:], corr.weights[r0:r1].reshape(-1))
+        text = lines.view(np.uint8).reshape(-1)
+        return text[text != 0]
+
+    starts = range(0, sites, rows_per_chunk)
     with publish(path) as fh:
         fh.write(b"query_index,exemplar_index,weight\n")
-        for r0 in range(0, sites, rows_per_chunk):
-            r1 = min(r0 + rows_per_chunk, sites)
-            lines = buffer[: (r1 - r0) * m]
-            fields = lines.reshape(r1 - r0, m, w0 + 3)
-            # the query and its comma, once per row, then on its m lines
-            fields[:, :, :q_words] = _index_words(range(r0, r1), q_words, comma=True)[:, None]
-            fields[:, :, q_words:w0] = exemplar[blocks[r0:r1]]
-            _weight_words(lines[:, w0:], corr.weights[r0:r1].reshape(-1))
-            text = lines.view(np.uint8).reshape(-1)
-            fh.write(text[text != 0])
+        # the pool is joined inside publish's block, so no worker outlives a failed write
+        threads = min(correspondence._cpus(), len(starts))
+        correspondence._in_order(format_chunk, starts, threads, fh.write)
 
 
 def cmd_warp(args) -> int:

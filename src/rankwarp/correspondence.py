@@ -20,6 +20,7 @@ stay soft, so gradients flow through the ranking level.
 from __future__ import annotations
 
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -128,6 +129,34 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _in_order(fn, items, threads: int, emit) -> None:
+    """Call ``emit(fn(item))`` for each item, in order, on the calling thread.
+
+    Below two ``threads`` every call runs inline.  Otherwise ``fn`` runs on a
+    pool of ``threads`` threads, at most ``2 * threads`` calls ahead of the
+    one being emitted, and each result is dropped once emitted.  On an error,
+    calls not yet started are cancelled and the pool is joined before the
+    error leaves; this is why the helper is not a generator, whose pool a
+    traceback would keep alive.
+    """
+    if threads < 2:
+        for item in items:
+            emit(fn(item))
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending = deque()
+        try:
+            for item in items:
+                pending.append(pool.submit(fn, item))
+                if len(pending) > 2 * threads:
+                    emit(pending.popleft().result())
+            while pending:
+                emit(pending.popleft().result())
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def rank_blocks(
     query: BlockFeatures,
     exemplar: BlockFeatures,
@@ -160,19 +189,16 @@ def rank_blocks(
     # a pool costs more than it saves below two chunks; threads share one chunk's rows
     threads = min(_cpus(), n_q // _CHUNK)
     rows = -(-_CHUNK // max(threads, 1))
-    spans = [(c, min(c + rows, n_q)) for c in range(0, n_q, rows)]
+    spans = [slice(c, min(c + rows, n_q)) for c in range(0, n_q, rows)]
 
     def run(span):
-        c0, c1 = span
-        out = _rank_chunk(query.normalized[c0:c1], exemplar.normalized, k, lam, max_iters, tolerance)
-        cand[c0:c1], gam[c0:c1], mx[c0:c1], used[c0:c1], errs[c0:c1] = out
+        return span, _rank_chunk(query.normalized[span], exemplar.normalized, k, lam, max_iters, tolerance)
 
-    if threads >= 2:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, spans))
-    else:
-        for span in spans:
-            run(span)
+    def store(ranked):
+        span, out = ranked
+        cand[span], gam[span], mx[span], used[span], errs[span] = out
+
+    _in_order(run, spans, threads, store)
     return BlockRanking(
         partition=query.partition, exemplar_partition=exemplar.partition, candidates=cand,
         gammas=gam, max_scores=mx, iterations=used, marginal_errors=errs,

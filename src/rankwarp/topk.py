@@ -115,13 +115,18 @@ def dual_gamma(
     only gamma: see :func:`dual_gamma_vjp`.
     """
     a, k, max_iters = _admit(scores, k, lam, max_iters, tolerance)
-    b, n = a.shape
+    z = 4.0 * lam * a.astype(np.float64)
+    del a  # z carries the scores from here, so the float32 copy adds nothing to the peak
+    return _solve(z, k, max_iters, tolerance)
+
+
+def _solve(z: np.ndarray, k: int, max_iters: int, tolerance: float):
+    """:func:`dual_gamma` on logits z = 4 * lam * a of scores that :func:`_admit` passed."""
+    b, n = z.shape
     if k == n:
         # the column constraint forces gamma = 1 exactly, with no step to take
         return np.ones((b, n)), np.zeros(b, dtype=int), np.zeros(b)
     gamma, iters, errors = np.empty((b, n)), np.zeros(b, dtype=int), np.empty(b)
-    z = 4.0 * lam * a.astype(np.float64)
-    del a  # z carries the scores from here, so the float32 copy adds nothing to the peak
     # every logit is at most logit(k/N) at lo, so sum(gamma) <= k there; >= k at hi
     logit = np.log(k) - np.log(n - k)
     lo, hi = logit - z.max(axis=1), logit - z.min(axis=1)
@@ -174,9 +179,8 @@ def dual_gamma_vjp(gamma: np.ndarray, upstream: np.ndarray, lam: float) -> np.nd
 
 def soft_topk(problem: TopKProblem) -> SoftSelection:
     """Soft weights from :func:`dual_gamma` under the problem's knobs, with the hard oracle mask."""
-    gamma, _, _ = dual_gamma(
-        problem.scores[None], problem.k, problem.lam, problem.max_iters, problem.tolerance
-    )
+    z = 4.0 * problem.lam * problem.scores[None].astype(np.float64)
+    gamma, _, _ = _solve(z, problem.k, problem.max_iters, problem.tolerance)
     return SoftSelection(gamma=gamma[0], hard=hard_topk_oracle(problem.scores, problem.k))
 
 
@@ -185,7 +189,7 @@ def finite_difference_gradient(
 ) -> np.ndarray:
     """Central-difference reference gradient for :func:`dual_gamma_vjp`.
 
-    All 2N perturbed rows are solved in one :func:`dual_gamma` call to
+    All 2N perturbed rows are solved together by the exact dual to
     EXACT_TOLERANCE.  The divisor is the realized float32 score difference, not
     the nominal step, which keeps the oracle accurate near the rounding floor.
     """
@@ -199,7 +203,7 @@ def finite_difference_gradient(
     rows[n + diag, diag] -= step
     # the clamp and rounding of TopKProblem, so the divisor sees the scores solved
     rows = _admit(rows, problem.k, problem.lam, problem.max_iters, EXACT_TOLERANCE)[0].astype(np.float64)
-    gamma, _, _ = dual_gamma(rows, problem.k, problem.lam, problem.max_iters, EXACT_TOLERANCE)
+    gamma, _, _ = _solve(4.0 * problem.lam * rows, problem.k, problem.max_iters, EXACT_TOLERANCE)
     losses = gamma @ up
     denom = rows[diag, diag] - rows[n + diag, diag]
     # a step too small to realize leaves both rows, and so both losses, equal

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import rankwarp
-from rankwarp import cli
+from rankwarp import cli, correspondence
 from rankwarp.cli import _write_correspondence_csv, main
 from rankwarp.correspondence import BlockPartition, SparseCorrespondence
 from rankwarp.posenc import vanilla_pe
@@ -279,9 +279,10 @@ class TestPublishedOutputs:
         assert os.stat(out / "warped.ftn").st_ino == inode
         assert read_tensor(str(out / "warped.ftn")).data.shape == (16, 16, 4)
 
-    def test_write_failing_after_first_chunk_leaves_nothing(self, tmp_path, monkeypatch, ranking_cpus):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_write_failing_after_first_chunk_leaves_nothing(self, tmp_path, monkeypatch, ranking_cpus, cpus):
         cond, exem, _ = self._inputs(tmp_path)
-        ranking_cpus(1)  # 3072 entries in chunks of 500
+        ranking_cpus(cpus)  # 3072 entries in chunks of 500
         out, fresh = tmp_path / "out", tmp_path / "fresh"
         argv = ["warp", cond, exem, "--out-dir", str(out)]
         assert main(argv) == 0
@@ -305,7 +306,9 @@ class TestPublishedOutputs:
                 yield FailingHandle(fh)
 
         monkeypatch.setattr(cli, "publish", failing_publish)
+        threads = threading.active_count()
         assert main(argv) == 3
+        assert threading.active_count() == threads
         assert len(calls) == 3 and calls[1] > 0
         assert sorted(os.listdir(out)) == ["cmap.ftn", "warped.ftn"]
         monkeypatch.setattr(cli, "publish", publish)
@@ -453,18 +456,22 @@ class TestCorrespondenceCsv:
         weights = (10.0 ** rng.uniform(-9, 0, rows * width)).astype(np.float32)
         self._assert_matches_oracle(tmp_path, weights, 4099, rng, width=width)
 
-    def test_chunks_serial_and_threaded(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_chunks_serial_and_threaded(self, tmp_path, monkeypatch, cpus):
         # 10009 query sites (five-digit queries) in 31 chunks of 333 rows,
-        # the last one ragged
+        # the last one ragged; the bytes do not depend on the CPU count
         monkeypatch.setattr(cli, "_CSV_CHUNK_ENTRIES", 1000)
+        monkeypatch.setattr(correspondence, "_cpus", lambda: cpus)
         rng = np.random.default_rng(186)
         weights = (10.0 ** rng.uniform(-16, 0, 10009 * 3)).astype(np.float32)
         self._assert_matches_oracle(tmp_path, weights, 123457, rng, width=3)
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-    def test_write_failure_raises_and_joins_the_writer(self, monkeypatch):
-        # the error reaches the caller and no thread is left
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_write_failure_raises_and_joins_the_writer(self, monkeypatch, cpus):
+        # whatever the CPU count, the error reaches the caller and no thread is left
         monkeypatch.setattr(cli, "_CSV_CHUNK_ENTRIES", 1000)
+        monkeypatch.setattr(correspondence, "_cpus", lambda: cpus)
         rng = np.random.default_rng(188)
         weights = (10.0 ** rng.uniform(-9, 0, 3000 * 3)).astype(np.float32)
         corr = _row_correspondence(weights, 4099, rng, width=3)  # 9 chunks
@@ -474,6 +481,35 @@ class TestCorrespondenceCsv:
         assert exc.value.errno == errno.ENOSPC
         assert threading.active_count() == threads
         assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_formatting_failure_raises_joins_and_leaves_nothing(self, tmp_path, monkeypatch, cpus):
+        # the fifth chunk's weights fail to format, on a pool thread at 2 CPUs
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ENTRIES", 1000)
+        monkeypatch.setattr(correspondence, "_cpus", lambda: cpus)
+        rng = np.random.default_rng(189)
+        weights = (10.0 ** rng.uniform(-9, 0, 3000 * 3)).astype(np.float32)
+        corr = _row_correspondence(weights, 4099, rng, width=3)  # 9 chunks
+        weight_words = cli._weight_words
+        calls = []
+        lock = threading.Lock()
+
+        def failing_weight_words(words, w):
+            with lock:
+                calls.append(len(w))
+                fifth = len(calls) == 5
+            if fifth:
+                raise RuntimeError("fifth chunk")
+            weight_words(words, w)
+
+        monkeypatch.setattr(cli, "_weight_words", failing_weight_words)
+        path = tmp_path / "corr.csv"
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="fifth chunk"):
+            _write_correspondence_csv(str(path), corr)
+        assert threading.active_count() == threads
+        assert not path.exists()
+        assert not (tmp_path / ".corr.csv.partial").exists()
 
     def test_warp_command_csv_matches_oracle(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(185)

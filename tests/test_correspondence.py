@@ -1,5 +1,7 @@
 """Block partitioning, retrieval, sparse attention, and warping."""
 
+import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -192,6 +194,24 @@ class TestRanking:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
 
+    def test_chunk_error_propagates_and_leaves_no_thread(self, monkeypatch):
+        # 512 query blocks rank on two threads in four spans of 128 rows; the second fails
+        feats = partition_blocks(_grid(np.random.default_rng(51), 1, 512, 2), 1)
+        second = feats.normalized[128:256]
+        rank_chunk = correspondence._rank_chunk
+
+        def failing_rank_chunk(qn, *args):
+            if np.shares_memory(qn, second):
+                raise RuntimeError("second span")
+            return rank_chunk(qn, *args)
+
+        monkeypatch.setattr(correspondence, "_rank_chunk", failing_rank_chunk)
+        monkeypatch.setattr(correspondence, "_cpus", lambda: 2)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="second span"):
+            rank_blocks(feats, feats, k=2)
+        assert threading.active_count() == threads
+
     def test_k_out_of_range(self):
         rng = np.random.default_rng(45)
         feats = partition_blocks(_grid(rng, 4, 4, 2), 2)
@@ -221,6 +241,33 @@ class TestRanking:
         ef = partition_blocks(_grid(rng, 8, 8, 3), 2)
         cand = rank_blocks(qf, ef, k=5).candidates
         assert (np.diff(cand, axis=1) > 0).all()
+
+
+class TestInOrder:
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_emits_in_order_at_most_two_calls_per_thread_ahead(self, threads):
+        # later items finish first, and every emit is slow enough for the
+        # pool to run ahead; no more than 2 * threads calls may have started
+        # beyond the one being emitted
+        started, emitted = [], []
+        lock = threading.Lock()
+
+        def fn(i):
+            with lock:
+                started.append(i)
+            time.sleep((40 - i) * 1e-5)
+            return i
+
+        def emit(i):
+            with lock:
+                assert len(started) <= i + 1 + 2 * threads
+            emitted.append(i)
+            time.sleep(1e-3)
+
+        before = threading.active_count()
+        correspondence._in_order(fn, range(40), threads, emit)
+        assert emitted == list(range(40))
+        assert threading.active_count() == before
 
 
 class TestAttention:

@@ -5,12 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
+from rankwarp import topk
 from rankwarp.correspondence import partition_blocks, rank_blocks
 from rankwarp.metrics import run_bench
 from rankwarp.tensors import FeatureGrid, ValidationError
 from rankwarp.topk import (
     TopKProblem,
     dual_gamma,
+    finite_difference_gradient,
     hard_topk_oracle,
     selection_from_tape,
     sinkhorn_solve,
@@ -82,6 +84,23 @@ class TestProblem:
         gamma, iters, _ = dual_gamma(scores[None], 3, 1.0, max_iters=np.float64(3.0))
         assert gamma.tobytes() == exact.gamma[None].tobytes()
         assert iters.tolist() == [3]
+
+    def test_inputs_are_admitted_once(self, monkeypatch):
+        # soft_topk solves the scores TopKProblem admitted; finite_difference_gradient
+        # admits only its perturbed rows
+        admit, calls = topk._admit, []
+
+        def counting_admit(*args):
+            calls.append(args)
+            return admit(*args)
+
+        monkeypatch.setattr(topk, "_admit", counting_admit)
+        problem = TopKProblem(np.array([0.5, 0.1, -0.2, 0.3]), k=2)
+        gamma = soft_topk(problem).gamma
+        assert len(calls) == 1
+        finite_difference_gradient(problem, np.ones(4))
+        assert len(calls) == 2
+        assert gamma.tobytes() == dual_gamma(problem.scores[None], 2, problem.lam)[0][0].tobytes()
 
 
 class TestSolve:
